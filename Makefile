@@ -2,7 +2,7 @@ GO       ?= go
 PKGS     := ./...
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint lint-fix lint-purity lint-units lint-baseline-check lint-budget fuzz-smoke bench bench-parallel bench-json bench-smoke fleet-smoke trace-smoke scenario-smoke profile check
+.PHONY: build test race lint lint-fix lint-purity lint-units lint-baseline-check lint-budget fuzz-smoke bench bench-parallel bench-json bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke profile check
 
 build:
 	$(GO) build $(PKGS)
@@ -106,20 +106,28 @@ bench-json:
 		. ./internal/simtime ./internal/netem ./internal/rtp ./internal/fleet \
 		| $(GO) run ./cmd/benchjson -o $(BENCHJSON_OUT)
 
-# Fast allocation-regression gate for CI: run the AllocsPerRun budget
-# tests, compile-check the micro-benchmarks at one iteration each, then
+# Fast allocation-regression gate for CI: run the allocation budget tests
+# (AllocsPerRun gates per layer, plus the whole-session marginal-bytes
+# gate), compile-check the micro-benchmarks at one iteration each, then
 # measure the scheduler microbenchmarks long enough to gate their ns/op
 # against the newest committed BENCH_<n>.json baseline. The 2.5x ceiling
 # is not a precision gate — it exists to catch complexity regressions
 # (an accidental O(n) scan in the wheel shows up as 10-100x, far above
 # any machine-to-machine noise).
 bench-smoke:
-	$(GO) test -run='AllocBudget|ZeroAlloc' -v ./internal/simtime ./internal/netem ./internal/rtp
+	$(GO) test -run='AllocBudget|ZeroAlloc' -v ./internal/simtime ./internal/netem ./internal/rtp \
+		./internal/session ./internal/stats
 	$(GO) test -run='^$$' -bench='BenchmarkSchedulerStep|BenchmarkLinkSaturated|BenchmarkPacketizeReuse' \
 		-benchtime=1x -benchmem ./internal/simtime ./internal/netem ./internal/rtp
 	$(GO) test -run='^$$' -bench='BenchmarkSchedulerMixedHorizon|BenchmarkSchedulerCancel' \
 		-benchtime=0.1s -benchmem ./internal/simtime \
 		| $(GO) run ./cmd/benchjson -against auto -max-ns-ratio 2.5
+
+# The benchmark's own tests: every rtcbench workload at a tiny size, with
+# its replays and correctness checks. cmd/rtcbench is a module of its own,
+# so the root `go test ./...` does not reach it.
+rtcbench-test:
+	cd cmd/rtcbench && $(GO) test ./...
 
 # Fleet determinism + throughput gate for CI. A small fleet must render
 # byte-identical per-session CSV at 1 shard and 8 shards (the merge-order

@@ -14,7 +14,7 @@ import "time"
 //
 // latenessBudget bounds how stale a frame may decode and still display
 // (non-positive disables). Records are mutated in place.
-func EnforceDecodeOrder(records []*FrameRecord, latenessBudget time.Duration) {
+func EnforceDecodeOrder(records []FrameRecord, latenessBudget time.Duration) {
 	chainBroken := false
 	chainReadyAt := time.Duration(0)
 	lastDisplay := time.Duration(0)
@@ -34,7 +34,8 @@ func EnforceDecodeOrder(records []*FrameRecord, latenessBudget time.Duration) {
 		rec.DisplayAt = at
 		lastDisplay = at
 	}
-	for _, rec := range records {
+	for i := range records {
+		rec := &records[i]
 		if rec.Outcome == Skipped {
 			// Nothing was sent; the decoder repeats the previous
 			// frame. The chain state is unchanged.

@@ -9,11 +9,11 @@ import (
 // one frame: 'I' arrived keyframe, 'P' arrived P-frame, 'X' never-arrived
 // frame, 'S' skipped frame, 'L' P-frame arriving late (arrival += lateBy),
 // 'e' arrived droppable enhancement (TL1) frame, 'x' never-arrived TL1.
-func mkRecords(spec string, lateBy time.Duration) []*FrameRecord {
-	var recs []*FrameRecord
+func mkRecords(spec string, lateBy time.Duration) []FrameRecord {
+	var recs []FrameRecord
 	for i, ch := range spec {
 		cap := time.Duration(i) * 33 * time.Millisecond
-		rec := &FrameRecord{Index: i, CaptureTS: cap}
+		rec := FrameRecord{Index: i, CaptureTS: cap}
 		switch ch {
 		case 'I', 'P', 'L', 'e':
 			rec.Arrival = cap + 50*time.Millisecond
@@ -39,7 +39,7 @@ func mkRecords(spec string, lateBy time.Duration) []*FrameRecord {
 	return recs
 }
 
-func outcomes(recs []*FrameRecord) string {
+func outcomes(recs []FrameRecord) string {
 	s := ""
 	for _, r := range recs {
 		switch r.Outcome {

@@ -129,6 +129,22 @@ func Summarize(records []FrameRecord, from, to time.Duration, frameInterval time
 	}
 	var rep Report
 	var net, disp stats.Summary
+	// Size the sample buffers exactly: one allocation each instead of
+	// append's doublings.
+	nNet, nDisp := 0, 0
+	for _, r := range records {
+		if r.CaptureTS < from || r.CaptureTS >= to {
+			continue
+		}
+		if r.Outcome == Delivered {
+			nDisp++
+		}
+		if arrived(r) {
+			nNet++
+		}
+	}
+	net.Grow(nNet)
+	disp.Grow(nDisp)
 	var ssimSum, encSSIMSum float64
 	var bits float64
 	// A single missing slot at capture rate is a frame-rate reduction

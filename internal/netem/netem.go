@@ -21,7 +21,9 @@ import (
 type Packet struct {
 	// Size is the on-wire size in bytes.
 	Size int
-	// Payload is the carried object (e.g. *rtp.Packet or fb.Report).
+	// Payload is the carried object (e.g. *rtp.Packet or *fb.Report).
+	// Carry pointers: a pointer in an interface does not allocate, while
+	// a struct value is boxed on every send.
 	Payload any
 	// EnqueuedAt is stamped by the link when the packet is accepted.
 	EnqueuedAt time.Duration

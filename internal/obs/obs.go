@@ -419,11 +419,23 @@ func (r *Recorder) QueueDepth(queue string, depthBytes int, delay time.Duration)
 	if r == nil {
 		return
 	}
-	r.SetGauge("queue."+queue+".bytes", float64(depthBytes))
+	r.SetGauge(queueGauge(queue), float64(depthBytes))
 	r.Emit(TrackSession, KindQueueDepth,
 		str("queue", queue),
 		num("bytes", float64(depthBytes)),
 		num("delay_ms", float64(delay)/float64(time.Millisecond)))
+}
+
+// queueGauge names the depth gauge of queue. The session's two queues use
+// constant keys, so a periodic sample does not build a string per call.
+func queueGauge(queue string) string {
+	switch queue {
+	case "pacer":
+		return "queue.pacer.bytes"
+	case "link":
+		return "queue.link.bytes"
+	}
+	return "queue." + queue + ".bytes"
 }
 
 // VBVState records the encoder's VBV buffer after a frame.

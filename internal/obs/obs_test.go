@@ -147,3 +147,27 @@ func BenchmarkEmitEnabled(b *testing.B) {
 		r.PacketSent(uint32(i), 1200)
 	}
 }
+
+// TestQueueDepthGaugeNames pins the gauge keys QueueDepth writes: the
+// session's two queues use constant keys, and any other queue name keeps
+// the same "queue.<name>.bytes" spelling.
+func TestQueueDepthGaugeNames(t *testing.T) {
+	r := NewRecorder(0)
+	r.QueueDepth("pacer", 100, 0)
+	r.QueueDepth("link", 200, 0)
+	r.QueueDepth("audio", 300, 0)
+	want := []Counter{{"queue.audio.bytes", 300}, {"queue.link.bytes", 200}, {"queue.pacer.bytes", 100}}
+	got := r.Counters()
+	if len(got) != len(want) {
+		t.Fatalf("counters = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("counter %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { r.QueueDepth("link", 200, 0) }); n > 1 {
+		// The event's attribute slice is the one allocation left.
+		t.Errorf("QueueDepth allocates %.1f per call", n)
+	}
+}

@@ -151,16 +151,20 @@ func (g *NackGenerator) Abandoned() int { return g.abandoned }
 // recently sent media packets keyed by RTP sequence number. Not safe for
 // concurrent use.
 //
-// order is a true circular buffer: head indexes the oldest stored
-// sequence and eviction overwrites in place. (It was once advanced by
-// re-slicing `order = order[1:]`, which walks the slice window down its
-// backing array and forces a fresh allocation every cap stores —
-// unbounded append/copy churn on the steady-state send path.)
+// seqs and pkts are a ring of the stored packets in insertion order; head
+// indexes the oldest once the ring is full, and eviction overwrites in
+// place. index finds a sequence number's ring slot: an open-addressed
+// table of twice the capacity with linear probing and backward-shift
+// deletion, so it never holds tombstones and never grows. Both are
+// allocated once, in NewRtxBuffer: a Go map would rehash through every
+// power of two up to the capacity in each session that enables NACK, and
+// again as deletions accumulate.
 type RtxBuffer struct {
-	cap   int
-	bySeq map[uint16]*Packet
-	order []uint16
+	seqs  []uint16
+	pkts  []*Packet
 	head  int
+	index []int32 // ring slot + 1; zero marks an empty bucket
+	mask  int
 }
 
 // NewRtxBuffer returns a buffer holding up to capacity packets (default
@@ -169,31 +173,80 @@ func NewRtxBuffer(capacity int) *RtxBuffer {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	return &RtxBuffer{cap: capacity, bySeq: make(map[uint16]*Packet)}
+	buckets := 1
+	for buckets < 2*capacity {
+		buckets <<= 1
+	}
+	return &RtxBuffer{
+		seqs:  make([]uint16, 0, capacity),
+		pkts:  make([]*Packet, 0, capacity),
+		index: make([]int32, buckets),
+		mask:  buckets - 1,
+	}
+}
+
+// find returns the bucket holding seq, or the empty bucket ending its
+// probe sequence and false. Sequence numbers are sent consecutively, so
+// their home buckets (seq & mask) rarely collide.
+func (b *RtxBuffer) find(seq uint16) (int, bool) {
+	for i := int(seq) & b.mask; ; i = (i + 1) & b.mask {
+		slot := b.index[i]
+		if slot == 0 {
+			return i, false
+		}
+		if b.seqs[slot-1] == seq {
+			return i, true
+		}
+	}
+}
+
+// unindex empties bucket i and shifts later members of its probe run back
+// so every remaining key stays reachable from its home bucket.
+func (b *RtxBuffer) unindex(i int) {
+	for j := (i + 1) & b.mask; b.index[j] != 0; j = (j + 1) & b.mask {
+		home := int(b.seqs[b.index[j]-1]) & b.mask
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-home)&b.mask >= (j-i)&b.mask {
+			b.index[i] = b.index[j]
+			i = j
+		}
+	}
+	b.index[i] = 0
 }
 
 // Store remembers a sent packet for possible retransmission, evicting
 // the oldest stored packet once the buffer is full.
 func (b *RtxBuffer) Store(pkt *Packet) {
-	if _, exists := b.bySeq[pkt.SequenceNumber]; exists {
-		b.bySeq[pkt.SequenceNumber] = pkt
+	seq := pkt.SequenceNumber
+	i, ok := b.find(seq)
+	if ok {
+		b.pkts[b.index[i]-1] = pkt
 		return
 	}
-	if len(b.order) < b.cap {
-		b.order = append(b.order, pkt.SequenceNumber)
-	} else {
-		delete(b.bySeq, b.order[b.head])
-		b.order[b.head] = pkt.SequenceNumber
-		b.head = (b.head + 1) % b.cap
+	if len(b.seqs) < cap(b.seqs) {
+		b.seqs = append(b.seqs, seq)
+		b.pkts = append(b.pkts, pkt)
+		b.index[i] = int32(len(b.seqs))
+		return
 	}
-	b.bySeq[pkt.SequenceNumber] = pkt
+	old, _ := b.find(b.seqs[b.head])
+	b.unindex(old)
+	b.seqs[b.head], b.pkts[b.head] = seq, pkt
+	// The deletion may have shifted the new key's probe run.
+	i, _ = b.find(seq)
+	b.index[i] = int32(b.head + 1)
+	b.head = (b.head + 1) % len(b.seqs)
 }
 
 // Get returns the stored packet for seq, if still buffered.
 func (b *RtxBuffer) Get(seq uint16) (*Packet, bool) {
-	p, ok := b.bySeq[seq]
-	return p, ok
+	i, ok := b.find(seq)
+	if !ok {
+		return nil, false
+	}
+	return b.pkts[b.index[i]-1], true
 }
 
 // Len returns the number of buffered packets.
-func (b *RtxBuffer) Len() int { return len(b.bySeq) }
+func (b *RtxBuffer) Len() int { return len(b.seqs) }

@@ -298,12 +298,12 @@ func TestRtxBufferRingEviction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.Store(&Packet{Header: Header{Version: 2, SequenceNumber: uint16(i)}})
 	}
-	c0 := cap(b.order)
+	c0 := cap(b.seqs)
 	for i := 4; i < 10_000; i++ {
 		b.Store(&Packet{Header: Header{Version: 2, SequenceNumber: uint16(i)}})
 	}
-	if cap(b.order) != c0 || len(b.order) != 4 {
-		t.Errorf("order ring churned: len=%d cap=%d, want len=4 cap=%d", len(b.order), cap(b.order), c0)
+	if cap(b.seqs) != c0 || len(b.seqs) != 4 {
+		t.Errorf("ring churned: len=%d cap=%d, want len=4 cap=%d", len(b.seqs), cap(b.seqs), c0)
 	}
 	if b.Len() != 4 {
 		t.Fatalf("len = %d, want 4", b.Len())

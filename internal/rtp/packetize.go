@@ -14,7 +14,7 @@ import (
 // costs one slab allocation per packetizerSlabSize packets instead of one
 // per packet. Slab packets are ordinary heap objects from the caller's
 // point of view — they stay valid indefinitely (retransmit history holds
-// them across frames) and are never recycled.
+// them across frames) unless their holder hands them back with Release.
 type Packetizer struct {
 	mtu      int
 	ssrc     uint32
@@ -26,6 +26,7 @@ type Packetizer struct {
 
 	slab     []Packet
 	slabUsed int
+	free     []*Packet
 }
 
 // packetizerSlabSize is the slab granularity. 256 packets ≈ 4 frames at
@@ -33,10 +34,24 @@ type Packetizer struct {
 // memory on teardown.
 const packetizerSlabSize = 256
 
-// newPacket hands out a pointer into the current slab, starting a new slab
-// when the current one is exhausted. Slabs are never appended to past
-// their pre-sized capacity, so previously returned pointers stay valid.
+// Release returns a packet this packetizer may overwrite with a later
+// fragment or retransmission. Only the packet's last holder may release
+// it: once released, any reference still held elsewhere aliases the next
+// packet handed out. Packets never released (dropped, lost, or kept in a
+// retransmission buffer) are simply garbage collected.
+func (p *Packetizer) Release(pkt *Packet) { p.free = append(p.free, pkt) }
+
+// newPacket pops a released packet or hands out a pointer into the current
+// slab, starting a new slab when the current one is exhausted. Slabs are
+// never appended to past their pre-sized capacity, so previously returned
+// pointers stay valid. Every caller overwrites the whole packet.
 func (p *Packetizer) newPacket() *Packet {
+	if n := len(p.free); n > 0 {
+		pkt := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return pkt
+	}
 	if p.slabUsed == len(p.slab) {
 		p.slab = make([]Packet, packetizerSlabSize)
 		p.slabUsed = 0

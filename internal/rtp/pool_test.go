@@ -149,3 +149,34 @@ func TestPacketizeReassembleAllocBudget(t *testing.T) {
 		t.Fatalf("packetize/reassemble round-trip allocates %.3f/run, budget %v", got, budget)
 	}
 }
+
+// TestReleasedPacketsAreReused checks the packetizer's free list: released
+// packets are handed out again before any slab space, and each is fully
+// overwritten, so sentinel values written after Release never leak into a
+// later fragment or retransmission.
+func TestReleasedPacketsAreReused(t *testing.T) {
+	pz, ref := NewPacketizer(1, 96, 1200), NewPacketizer(1, 96, 1200)
+	f0 := codec.EncodedFrame{Index: 0, Bits: 48000, Type: codec.TypeI}
+	held := pz.Packetize(f0)
+	ref.Packetize(f0)
+	reused := map[*Packet]bool{}
+	for _, p := range held {
+		*p = Packet{Header: Header{SequenceNumber: 0xdead, SSRC: 0xdeadbeef}, Ext: Extension{FrameID: 0xdead, FragCount: 0xdead}, PayloadLen: -1}
+		pz.Release(p)
+		reused[p] = true
+	}
+	f1 := codec.EncodedFrame{Index: 1, Bits: 24000, Type: codec.TypeP}
+	got, want := pz.Packetize(f1), ref.Packetize(f1)
+	for i := range got {
+		if !reused[got[i]] {
+			t.Errorf("fragment %d came from the slab while released packets were free", i)
+		}
+		if *got[i] != *want[i] {
+			t.Errorf("fragment %d = %+v, want %+v", i, *got[i], *want[i])
+		}
+	}
+	pz.Release(got[0])
+	if rtx, wantRtx := pz.Retransmit(got[1]), ref.Retransmit(want[1]); rtx != got[0] || *rtx != *wantRtx {
+		t.Errorf("retransmission %+v (reused %v), want %+v", *rtx, rtx == got[0], *wantRtx)
+	}
+}

@@ -1,0 +1,66 @@
+package session
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"rtcadapt/internal/core"
+	"rtcadapt/internal/trace"
+	"rtcadapt/internal/video"
+)
+
+// sessionAllocBudgetPerVS bounds the heap bytes one extra virtual second
+// of a standard session allocates. What legitimately scales with session
+// length is the result: the frame ledger (30 records of 80 B per second),
+// the timeline (10 samples of 48 B per second), the metrics sample buffers
+// (two floats per frame) and the packet and report free lists' high-water
+// marks — about 4 KB per second together. Setup (PRNG sources, pools,
+// estimator) cancels out of the difference. Without recycling packets,
+// reports, ledger entries and the estimator windows it is about 22 KB per
+// second. Raise the budget only with a note of what allocates per second
+// and why it cannot be recycled.
+const sessionAllocBudgetPerVS = 6 << 10
+
+// standardSession is the paper's Figure 1 session: 2.5 -> 0.8 Mbps at
+// 10 s, adaptive controller over the default GCC estimator.
+func standardSession(d time.Duration) Config {
+	return Config{
+		Duration:    d,
+		Seed:        1,
+		Content:     video.TalkingHead,
+		Trace:       trace.StepDrop(2.5e6, 0.8e6, 10*time.Second),
+		InitialRate: 1e6,
+		Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
+	}
+}
+
+// totalAlloc returns the bytes one Run of cfg allocates, the least of
+// three runs so that a stray runtime allocation cannot fail the gate.
+func totalAlloc(d time.Duration) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		cfg := standardSession(d)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Run(cfg)
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestSessionAllocBudget gates the marginal allocation of a session: the
+// difference between a 60 s and a 30 s standard session, per virtual
+// second. Setup costs cancel, so what remains is what scales with traffic.
+func TestSessionAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	short, long := totalAlloc(30*time.Second), totalAlloc(60*time.Second)
+	perVS := (float64(long) - float64(short)) / 30
+	t.Logf("30 s session %d B, 60 s session %d B, marginal %.0f B per virtual second", short, long, perVS)
+	if perVS > sessionAllocBudgetPerVS {
+		t.Fatalf("a session allocates %.0f B per virtual second, budget %d", perVS, sessionAllocBudgetPerVS)
+	}
+}

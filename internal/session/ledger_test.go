@@ -1,0 +1,203 @@
+package session
+
+import (
+	"testing"
+	"time"
+
+	"rtcadapt/internal/core"
+	"rtcadapt/internal/fb"
+	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/netem"
+	"rtcadapt/internal/rtp"
+	"rtcadapt/internal/simtime"
+	"rtcadapt/internal/trace"
+	"rtcadapt/internal/video"
+)
+
+// sparseSource renumbers a synthetic source's frames 5, 8, 11, …: indices
+// that only increase, which is all video.FrameSource promises.
+type sparseSource struct{ *video.Source }
+
+func (s sparseSource) Next() video.Frame {
+	f := s.Source.Next()
+	f.Index = 5 + 3*f.Index
+	return f
+}
+
+// TestSparseFrameIndicesResolve runs a session whose source skips
+// indices. The ledger is indexed by capture order, so a receiver frame id
+// must still find its record: on an uncongested link nearly every frame
+// is delivered, and an unresolved record would show up as a drop.
+func TestSparseFrameIndicesResolve(t *testing.T) {
+	src := sparseSource{video.NewSource(video.SourceConfig{Class: video.TalkingHead, FPS: 30, Seed: 2})}
+	res := Run(Config{
+		Duration:    10 * time.Second,
+		Seed:        2,
+		Trace:       trace.Constant(3e6),
+		InitialRate: 1e6,
+		VideoSource: src,
+		Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
+	})
+	for i, r := range res.Records {
+		if r.Index != 5+3*i {
+			t.Fatalf("record %d has index %d, want %d", i, r.Index, 5+3*i)
+		}
+	}
+	rep := res.Report
+	if frac := float64(rep.DeliveredFrames) / float64(rep.Frames); frac < 0.95 {
+		t.Fatalf("delivered %.3f of frames with sparse indices: %+v", frac, rep)
+	}
+}
+
+// TestFrameSlot checks the ledger lookup directly: the dense fast path,
+// the binary-search fallback for sparse indices, and misses on both sides.
+func TestFrameSlot(t *testing.T) {
+	s := &Session{}
+	if _, ok := s.frameSlot(0); ok {
+		t.Fatal("empty ledger found a frame")
+	}
+	for _, idx := range []int{2, 3, 4, 10, 11, 40} {
+		s.records = append(s.records, metrics.FrameRecord{Index: idx})
+	}
+	for want, idx := range []int{2, 3, 4, 10, 11, 40} {
+		if got, ok := s.frameSlot(idx); !ok || got != want {
+			t.Errorf("frameSlot(%d) = %d,%v, want %d,true", idx, got, ok, want)
+		}
+	}
+	for _, idx := range []int{0, 1, 5, 9, 12, 39, 41, 1 << 40} {
+		if _, ok := s.frameSlot(idx); ok {
+			t.Errorf("frameSlot(%d) found a frame that was never captured", idx)
+		}
+	}
+}
+
+// TestResultBuffersExactlySized pins the sizing rule: the ledger and the
+// timeline are allocated once at the size the run fills, so they never
+// regrow and never hold more capacity than append growth would have
+// given — Results are retained by callers such as the shared-link
+// experiments.
+func TestResultBuffersExactlySized(t *testing.T) {
+	for _, c := range []struct {
+		dur time.Duration
+		fps int
+	}{{30 * time.Second, 30}, {10 * time.Second, 24}, {2*time.Second + 7*time.Millisecond, 30}, {time.Second, 25}} {
+		cfg := steadyConfig(core.NewAdaptive(core.AdaptiveConfig{}))
+		cfg.Duration, cfg.FPS, cfg.StartAt = c.dur, c.fps, 250*time.Millisecond
+		res := Run(cfg)
+		if len(res.Records) == 0 || len(res.Records) != cap(res.Records) {
+			t.Errorf("%v at %d fps: ledger len %d cap %d", c.dur, c.fps, len(res.Records), cap(res.Records))
+		}
+		if len(res.Timeline) == 0 || len(res.Timeline) != cap(res.Timeline) {
+			t.Errorf("%v at %d fps: timeline len %d cap %d", c.dur, c.fps, len(res.Timeline), cap(res.Timeline))
+		}
+	}
+	// Flows on a shared link sample until the last flow has drained, past
+	// their own end.
+	flows := []Config{dropConfig(core.NewAdaptive(core.AdaptiveConfig{}), 1), dropConfig(core.NewNativeRC(), 2)}
+	flows[0].Duration = 5 * time.Second
+	flows[1].Duration, flows[1].StartAt = 8*time.Second, 300*time.Millisecond
+	for i, res := range RunShared(SharedConfig{Trace: trace.Constant(4e6)}, flows) {
+		if len(res.Records) != cap(res.Records) || len(res.Timeline) != cap(res.Timeline) {
+			t.Errorf("shared flow %d: ledger len %d cap %d, timeline len %d cap %d",
+				i, len(res.Records), cap(res.Records), len(res.Timeline), cap(res.Timeline))
+		}
+	}
+}
+
+// TestFeedbackReportsRecycle checks that reverse-link reports come back to
+// the session's free list, and that a middlebox sending feedback through
+// SendFeedback (as the SFU does) draws from the same list instead of
+// growing it.
+func TestFeedbackReportsRecycle(t *testing.T) {
+	sched := simtime.NewScheduler()
+	sink := netem.NewLink(sched, netem.Config{Trace: trace.Constant(2e6)})
+	cfg := steadyConfig(core.NewAdaptive(core.AdaptiveConfig{}))
+	cfg.Duration = 5 * time.Second
+	cfg.ForwardLink = sink
+	s := New(sched, cfg)
+	middlebox := fb.NewRecorder()
+	sched.Tick(50*time.Millisecond, func() { s.SendFeedback(middlebox.Flush(sched.Now())) })
+	// Stop between deliveries: both senders tick on multiples of 50 ms and
+	// the reverse path is 25 ms long, so every report is back on the list.
+	sched.RunUntil(7*time.Second + 30*time.Millisecond)
+	if n := len(s.reports); n == 0 || n > 4 {
+		t.Fatalf("%d reports on the free list after 280 reports, want 1..4", n)
+	}
+}
+
+// poison overwrites a packet with sentinel values no live packet carries.
+func poison(p *rtp.Packet) {
+	*p = rtp.Packet{
+		Header: rtp.Header{Version: 3, PayloadType: 0x7f, SequenceNumber: 0xdead, Timestamp: 0xdeadbeef, SSRC: 0xdeadbeef},
+		Ext: rtp.Extension{
+			TransportSeq: 0xdeadbeef, FrameID: 0xdeadbeef, FragIndex: 0xdead, FragCount: 0xdead,
+			FrameType: 0xee, TemporalLayer: 0xee, CaptureTS: -time.Hour,
+		},
+		PayloadLen: -1,
+	}
+}
+
+// runPoisoned runs cfg on a forward link it builds itself, so it can
+// watch every delivery. With poisoned set, every packet the session
+// recycled is overwritten with sentinel values the moment Deliver
+// returns.
+func runPoisoned(cfg Config, poisoned bool) Result {
+	sched := simtime.NewScheduler()
+	link := netem.NewLink(sched, netem.Config{
+		Trace:     cfg.Trace,
+		PropDelay: cfg.PropDelay,
+		JitterAmp: cfg.JitterAmp,
+		LossProb:  cfg.LossProb,
+		Seed:      cfg.Seed + 2,
+	})
+	cfg.ForwardLink = link
+	s := New(sched, cfg)
+	link.SetReceiver(netem.ReceiverFunc(func(np netem.Packet, at time.Duration) {
+		s.Deliver(np, at)
+		if pkt, ok := np.Payload.(*rtp.Packet); ok && poisoned && s.soleHolder() {
+			poison(pkt)
+		}
+	}))
+	end := cfg.StartAt + s.cfg.Duration + 2*time.Second
+	sched.RunUntil(end)
+	return s.Result()
+}
+
+// TestRecycledPacketsPoisoned is the ownership rule's proof: once Deliver
+// has returned a packet to the packetizer, nothing — receiver, sender,
+// link or FEC — may read it again. Overwriting every recycled packet with
+// sentinels must leave the session's results unchanged, with and without
+// FEC, audio, probing, loss, jitter and NACK (which keeps packets for
+// retransmission, so the session must not recycle them).
+func TestRecycledPacketsPoisoned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func() Config
+	}{
+		{"drop", func() Config { return dropConfig(core.NewAdaptive(core.AdaptiveConfig{}), 4) }},
+		{"fec-audio-probing-loss", func() Config {
+			cfg := dropConfig(core.NewAdaptive(core.AdaptiveConfig{}), 5)
+			cfg.Duration = 15 * time.Second
+			cfg.FECGroupSize, cfg.Audio, cfg.Probing = 4, true, true
+			cfg.LossProb, cfg.JitterAmp = 0.01, 3*time.Millisecond
+			return cfg
+		}},
+		{"nack-loss", func() Config {
+			cfg := dropConfig(core.NewAdaptive(core.AdaptiveConfig{}), 6)
+			cfg.Duration = 15 * time.Second
+			cfg.NACK, cfg.LossProb = true, 0.02
+			return cfg
+		}},
+	} {
+		clean, dirty := runPoisoned(c.mk(), false), runPoisoned(c.mk(), true)
+		if clean.Report != dirty.Report || clean.LinkStats != dirty.LinkStats ||
+			clean.FECRecovered != dirty.FECRecovered || clean.Retransmitted != dirty.Retransmitted {
+			t.Errorf("%s: poisoning recycled packets changed the results:\n%+v\n%+v", c.name, clean.Report, dirty.Report)
+		}
+		for i := range clean.Records {
+			if clean.Records[i] != dirty.Records[i] {
+				t.Fatalf("%s: record %d differs:\n%+v\n%+v", c.name, i, clean.Records[i], dirty.Records[i])
+			}
+		}
+	}
+}

@@ -12,7 +12,9 @@
 package session
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"rtcadapt/internal/audio"
@@ -184,16 +186,15 @@ type Result struct {
 	FrameInterval time.Duration
 }
 
-// frameInfo is the sender-side ledger entry awaiting receiver resolution.
-type frameInfo struct {
-	rec      metrics.FrameRecord
+// frameState is the sender-side state of one ledger record that Result
+// needs and the record does not carry.
+type frameState struct {
 	motion   float64
 	resolved bool
 }
 
-// frameInfoSlabSize batches ledger-entry allocation: entries live until
-// Result, so they are carved from slabs rather than pooled.
-const frameInfoSlabSize = 256
+// timelineInterval is the control-plane sampling period.
+const timelineInterval = 100 * time.Millisecond
 
 // pendingSend carries one encoded frame's packets from encode completion
 // to pacer enqueue. Records and their slices are pooled per session, so
@@ -237,11 +238,13 @@ type Session struct {
 
 	capacityFn cc.CapacityFunc
 
-	ledger            map[int]*frameInfo
-	fiSlab            []frameInfo
-	fiUsed            int
+	// records is the per-frame ledger in capture order, sized once for
+	// the session's frame count; state runs parallel to it. Result
+	// resolves records in place and returns the slice itself.
+	records           []metrics.FrameRecord
+	state             []frameState
 	sendPool          []*pendingSend
-	order             []int
+	reports           []*fb.Report // recycled reverse-link payloads
 	timeline          []TimelinePoint
 	pliSent           int
 	nacksSent         int
@@ -325,7 +328,6 @@ func New(sched *simtime.Scheduler, cfg Config) *Session {
 	s := &Session{
 		cfg:     cfg,
 		sched:   sched,
-		ledger:  make(map[int]*frameInfo),
 		lastPLI: -time.Hour,
 	}
 
@@ -337,6 +339,9 @@ func New(sched *simtime.Scheduler, cfg Config) *Session {
 		})
 	}
 	s.frameInterval = s.source.FrameInterval()
+	frames := capturedFrames(cfg.Duration, s.frameInterval)
+	s.records = make([]metrics.FrameRecord, 0, frames)
+	s.state = make([]frameState, 0, frames)
 
 	encCfg := cfg.Encoder
 	encCfg.TargetBitrate = cfg.InitialRate
@@ -413,7 +418,7 @@ func New(sched *simtime.Scheduler, cfg Config) *Session {
 		s.capture()
 		sched.Tick(s.frameInterval, s.capture)
 		sched.Tick(cfg.FeedbackInterval, s.feedbackTick)
-		sched.Tick(100*time.Millisecond, s.sampleTimeline)
+		sched.Tick(timelineInterval, s.sampleTimeline)
 		if s.audioSrc != nil {
 			s.captureAudio()
 			sched.Tick(s.audioSrc.FrameDur(), s.captureAudio)
@@ -426,18 +431,38 @@ func New(sched *simtime.Scheduler, cfg Config) *Session {
 	return s
 }
 
-// newFrameInfo carves a ledger entry from the current slab. Entries are
-// referenced by the ledger map until Result, so slabs are never recycled;
-// slabs are never appended to past their pre-sized capacity, so returned
-// pointers stay valid.
-func (s *Session) newFrameInfo() *frameInfo {
-	if s.fiUsed == len(s.fiSlab) {
-		s.fiSlab = make([]frameInfo, frameInfoSlabSize)
-		s.fiUsed = 0
+// capturedFrames is how many frames capture takes in a session of
+// duration d: one at each multiple of interval strictly before d.
+func capturedFrames(d, interval time.Duration) int {
+	if d <= 0 || interval <= 0 {
+		return 0
 	}
-	fi := &s.fiSlab[s.fiUsed]
-	s.fiUsed++
-	return fi
+	return int((d + interval - 1) / interval)
+}
+
+// reserveTimeline sizes the timeline for a run whose scheduler stops at
+// end: one sample per tick after StartAt. Run, RunOn and RunShared know
+// that end; a session on a caller-driven scheduler grows it by append.
+func (s *Session) reserveTimeline(end time.Duration) {
+	if n := int((end - s.cfg.StartAt) / timelineInterval); n > 0 {
+		s.timeline = make([]TimelinePoint, 0, n)
+	}
+}
+
+// frameSlot returns the ledger position of capture index idx. The built-in
+// sources number frames densely from zero, so the offset from the first
+// record hits directly; FrameSource promises only increasing indices, so
+// a sparse source falls back to binary search.
+func (s *Session) frameSlot(idx int) (int, bool) {
+	if len(s.records) == 0 {
+		return 0, false
+	}
+	if i := idx - s.records[0].Index; i >= 0 && i < len(s.records) && s.records[i].Index == idx {
+		return i, true
+	}
+	return slices.BinarySearchFunc(s.records, idx, func(r metrics.FrameRecord, target int) int {
+		return cmp.Compare(r.Index, target)
+	})
 }
 
 // acquirePending pops a pooled send record (slices already truncated by
@@ -476,10 +501,24 @@ func (s *Session) sendEncoded(ps *pendingSend) {
 // SSRC returns the flow's RTP SSRC (the demux key on shared links).
 func (s *Session) SSRC() uint32 { return s.cfg.SSRC }
 
-// ReverseLink returns the link delivering feedback to this sender. It is
-// exposed for topologies where a middlebox terminates feedback (the SFU
-// sends its reports into this link instead of a co-located receiver).
-func (s *Session) ReverseLink() *netem.Link { return s.reverse }
+// SendFeedback sends a receiver report to this sender over its reverse
+// link. The session's own receiver reports through it every feedback
+// interval; topologies where a middlebox terminates feedback (the SFU)
+// send their reports through it too. The report travels as a *fb.Report
+// from the session's free list, which onFeedback refills once the report
+// is consumed; reports lost on the reverse link are garbage collected.
+func (s *Session) SendFeedback(rep fb.Report) {
+	var p *fb.Report
+	if n := len(s.reports); n > 0 {
+		p = s.reports[n-1]
+		s.reports[n-1] = nil
+		s.reports = s.reports[:n-1]
+	} else {
+		p = new(fb.Report)
+	}
+	*p = rep
+	s.reverse.Send(netem.Packet{Size: p.WireSize(), Payload: p})
+}
 
 // sendPacket is the pacer's transmit callback.
 func (s *Session) sendPacket(payload any, wireSize int) {
@@ -513,9 +552,9 @@ func (s *Session) requestPLI() {
 
 // markDropped resolves a frame the receiver gave up on.
 func (s *Session) markDropped(frameID uint32) {
-	if fi, ok := s.ledger[int(frameID)]; ok && !fi.resolved {
-		fi.rec.Outcome = metrics.Dropped
-		fi.resolved = true
+	if i, ok := s.frameSlot(int(frameID)); ok && !s.state[i].resolved {
+		s.records[i].Outcome = metrics.Dropped
+		s.state[i].resolved = true
 		s.cfg.Recorder.FrameDropped(int(frameID))
 	}
 	s.requestPLI()
@@ -524,24 +563,33 @@ func (s *Session) markDropped(frameID uint32) {
 // Deliver consumes one packet at the receiver (media or FEC repair). It
 // implements netem.Receiver for privately owned links and is called by the
 // SSRC demux on shared links.
+//
+// A consumed RTP packet goes back to the packetizer when the session is
+// provably its only holder: the receive path keeps no pointer to it (the
+// reassembler, FEC decoder and NACK generator copy what they need), and
+// without a retransmission buffer (NACK off) neither does the sender.
+// Packets that are dropped or lost never get here and stay with the GC.
 func (s *Session) Deliver(np netem.Packet, at time.Duration) {
 	switch pkt := np.Payload.(type) {
 	case *rtp.Packet:
 		s.recorder.OnPacket(pkt.Ext.TransportSeq, at, np.Size)
-		if pkt.PayloadType == audioPayloadType {
+		switch pkt.PayloadType {
+		case audioPayloadType:
 			if s.audioRecv != nil {
 				s.audioRecv.OnFrame(int(pkt.Ext.FrameID), pkt.Ext.CaptureTS, at)
 			}
-			return
-		}
-		if pkt.PayloadType == probePayloadType {
-			return // padding: CC accounting only
-		}
-		s.handleMedia(pkt, at)
-		if s.fecDec != nil {
-			for _, rec := range s.fecDec.OnMedia(pkt.SequenceNumber) {
-				s.handleMedia(rec, at)
+		case probePayloadType:
+			// Padding: CC accounting only.
+		default:
+			s.handleMedia(pkt, at)
+			if s.fecDec != nil {
+				for _, rec := range s.fecDec.OnMedia(pkt.SequenceNumber) {
+					s.handleMedia(rec, at)
+				}
 			}
+		}
+		if s.soleHolder() {
+			s.packetizer.Release(pkt)
 		}
 	case *fec.Repair:
 		s.recorder.OnPacket(pkt.TransportSeq, at, np.Size)
@@ -552,6 +600,11 @@ func (s *Session) Deliver(np netem.Packet, at time.Duration) {
 		}
 	}
 }
+
+// soleHolder reports whether a delivered packet is held by nothing but
+// the session's receive path, which keeps no pointer to it: true unless a
+// retransmission buffer (NACK) may still resend it.
+func (s *Session) soleHolder() bool { return s.rtxBuf == nil }
 
 // handleMedia pushes one (received or FEC-recovered) media packet through
 // the receive pipeline.
@@ -569,20 +622,21 @@ func (s *Session) handleMedia(pkt *rtp.Packet, at time.Duration) {
 	// Tentative display time; decode-order dependencies and the lateness
 	// budget are enforced in the assembly pass.
 	displayAt := s.jbuf.PushUnordered(complete)
-	fi, have := s.ledger[int(complete.FrameID)]
+	i, have := s.frameSlot(int(complete.FrameID))
 	if !have {
 		return
 	}
-	fi.rec.Outcome = metrics.Delivered
-	fi.rec.Arrival = complete.Arrival
-	fi.rec.DisplayAt = displayAt
-	fi.resolved = true
+	rec := &s.records[i]
+	rec.Outcome = metrics.Delivered
+	rec.Arrival = complete.Arrival
+	rec.DisplayAt = displayAt
+	s.state[i].resolved = true
 }
 
 // onFeedback consumes one feedback report at the sender.
 func (s *Session) onFeedback(np netem.Packet, at time.Duration) {
-	rep := np.Payload.(fb.Report)
-	results := s.history.OnReport(rep)
+	rep := np.Payload.(*fb.Report)
+	results := s.history.OnReport(*rep)
 	if s.cfg.Recorder.Enabled() {
 		lost := 0
 		for _, r := range results {
@@ -620,10 +674,13 @@ func (s *Session) onFeedback(np netem.Packet, at time.Duration) {
 		}
 	}
 	// The report is fully consumed; hand its arrival buffer back to the
-	// receiver-side recorder. In the loopback topology that is the same
-	// recorder that produced it; on an SFU reverse path the buffers are
-	// fungible. Reports lost on the reverse link are simply collected.
-	s.recorder.Recycle(rep)
+	// receiver-side recorder and the report itself to the free list. In
+	// the loopback topology that is the same recorder that produced it;
+	// on an SFU reverse path the buffers are fungible. Reports lost on the
+	// reverse link are simply collected.
+	s.recorder.Recycle(*rep)
+	*rep = fb.Report{}
+	s.reports = append(s.reports, rep)
 }
 
 // feedbackTick flushes the receiver report onto the reverse link.
@@ -633,7 +690,7 @@ func (s *Session) feedbackTick() {
 		rep.Nacks = s.nackGen.Collect(s.sched.Now())
 		s.nacksSent += len(rep.Nacks)
 	}
-	s.reverse.Send(netem.Packet{Size: rep.WireSize(), Payload: rep})
+	s.SendFeedback(rep)
 }
 
 // capture grabs, encodes, and packetizes one frame.
@@ -668,25 +725,22 @@ func (s *Session) capture() {
 	ef := s.enc.Encode(frame, d)
 	s.cfg.Controller.OnEncoded(now, ef)
 
-	fi := s.newFrameInfo()
-	*fi = frameInfo{
-		rec: metrics.FrameRecord{
-			Index:         frame.Index,
-			CaptureTS:     frame.PTS,
-			Bytes:         ef.Bytes(),
-			QP:            ef.QP,
-			Keyframe:      ef.Type == codec.TypeI,
-			TemporalLayer: ef.TemporalLayer,
-			SSIM:          ef.SSIM,
-		},
-		motion: ef.MotionRatio,
+	skip := ef.Type == codec.TypeSkip
+	rec := metrics.FrameRecord{
+		Index:         frame.Index,
+		CaptureTS:     frame.PTS,
+		Bytes:         ef.Bytes(),
+		QP:            ef.QP,
+		Keyframe:      ef.Type == codec.TypeI,
+		TemporalLayer: ef.TemporalLayer,
+		SSIM:          ef.SSIM,
 	}
-	s.ledger[frame.Index] = fi
-	s.order = append(s.order, frame.Index)
-
-	if ef.Type == codec.TypeSkip {
-		fi.rec.Outcome = metrics.Skipped
-		fi.resolved = true
+	if skip {
+		rec.Outcome = metrics.Skipped
+	}
+	s.records = append(s.records, rec)
+	s.state = append(s.state, frameState{motion: ef.MotionRatio, resolved: skip})
+	if skip {
 		return
 	}
 	ps := s.acquirePending()
@@ -744,16 +798,19 @@ func (s *Session) captureAudio() {
 // sampleTimeline records one control-plane sample.
 func (s *Session) sampleTimeline() {
 	now := s.sched.Now()
-	s.timeline = append(s.timeline, TimelinePoint{
+	p := TimelinePoint{
 		At:            now,
 		Capacity:      s.capacityFn(now),
 		Estimate:      s.est.Snapshot(now).Target,
 		EncoderTarget: s.enc.TargetBitrate(),
 		LinkQueue:     s.forward.QueueDelay(),
 		PacerQueue:    s.pc.QueueDelay(),
-	})
-	s.cfg.Recorder.QueueDepth("pacer", s.pc.QueueBytes(), s.pc.QueueDelay())
-	s.cfg.Recorder.QueueDepth("link", s.forward.QueueBytes(), s.forward.QueueDelay())
+	}
+	s.timeline = append(s.timeline, p)
+	if s.cfg.Recorder.Enabled() {
+		s.cfg.Recorder.QueueDepth("pacer", s.pc.QueueBytes(), p.PacerQueue)
+		s.cfg.Recorder.QueueDepth("link", s.forward.QueueBytes(), p.LinkQueue)
+	}
 }
 
 // CaptureLedger returns the sender-side view of every captured frame —
@@ -763,45 +820,39 @@ func (s *Session) sampleTimeline() {
 // elsewhere (e.g. the SFU) build receiver ledgers from this. Call before
 // Result, which mutates the ledger.
 func (s *Session) CaptureLedger() []metrics.FrameRecord {
-	out := make([]metrics.FrameRecord, 0, len(s.order))
-	for _, idx := range s.order {
-		out = append(out, s.ledger[idx].rec)
-	}
+	out := make([]metrics.FrameRecord, len(s.records))
+	copy(out, s.records)
 	return out
 }
 
-// Result assembles the ledger after the scheduler has run. Call once.
+// Result resolves the ledger in place after the scheduler has run and
+// returns it as Records, without a copy. Call once.
 func (s *Session) Result() Result {
 	// First enforce decode-order dependencies (H.264 P-chain): frames
 	// whose references never arrived become undecodable freezes, and
 	// frames whose references were repaired late (NACK) decode late.
-	recs := make([]*metrics.FrameRecord, 0, len(s.order))
-	for _, idx := range s.order {
-		fi := s.ledger[idx]
-		if !fi.resolved {
-			fi.rec.Outcome = metrics.Dropped
-			fi.resolved = true
+	records := s.records
+	for i := range records {
+		if !s.state[i].resolved {
+			records[i].Outcome = metrics.Dropped
 		}
-		recs = append(recs, &fi.rec)
 	}
-	metrics.EnforceDecodeOrder(recs, s.jbuf.LatenessBudget)
+	metrics.EnforceDecodeOrder(records, s.jbuf.LatenessBudget)
 
-	records := make([]metrics.FrameRecord, 0, len(s.order))
 	lastDisplayedSSIM := 1.0
-	for _, idx := range s.order {
-		fi := s.ledger[idx]
-		switch fi.rec.Outcome {
+	for i := range records {
+		rec := &records[i]
+		switch rec.Outcome {
 		case metrics.Delivered:
-			lastDisplayedSSIM = fi.rec.SSIM
+			lastDisplayedSSIM = rec.SSIM
 		case metrics.Dropped:
 			// The viewer saw a freeze in this slot.
-			fi.rec.SSIM = codec.SkipSSIM(lastDisplayedSSIM, fi.motion)
-			lastDisplayedSSIM = fi.rec.SSIM
+			rec.SSIM = codec.SkipSSIM(lastDisplayedSSIM, s.state[i].motion)
+			lastDisplayedSSIM = rec.SSIM
 		case metrics.Skipped:
 			// Encoder already chained the skip penalty into SSIM.
-			lastDisplayedSSIM = fi.rec.SSIM
+			lastDisplayedSSIM = rec.SSIM
 		}
-		records = append(records, fi.rec)
 	}
 
 	var audioRep *audio.Report
@@ -846,7 +897,9 @@ func fecRecovered(d *fec.Decoder) int {
 func Run(cfg Config) Result {
 	sched := simtime.NewSchedulerWith(cfg.Sched)
 	s := New(sched, cfg)
-	sched.RunUntil(cfg.StartAt + s.cfg.Duration + 2*time.Second)
+	end := cfg.StartAt + s.cfg.Duration + 2*time.Second
+	s.reserveTimeline(end)
+	sched.RunUntil(end)
 	return s.Result()
 }
 

@@ -56,7 +56,11 @@ func RunShared(shared SharedConfig, flows []Config) []Result {
 	}
 	link.SetReceiver(NewSSRCDemux(sessions...))
 
-	sched.RunUntil(end + 2*time.Second)
+	end += 2 * time.Second
+	for _, s := range sessions {
+		s.reserveTimeline(end)
+	}
+	sched.RunUntil(end)
 
 	results := make([]Result, len(sessions))
 	for i, s := range sessions {

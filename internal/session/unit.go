@@ -76,6 +76,8 @@ func Summarize(index int, res Result) Summary {
 // pins.
 func (u Unit) RunOn(sched *simtime.Scheduler) Summary {
 	s := New(sched, u.Cfg)
-	sched.RunUntil(u.Cfg.StartAt + s.cfg.Duration + 2*time.Second)
+	end := u.Cfg.StartAt + s.cfg.Duration + 2*time.Second
+	s.reserveTimeline(end)
+	sched.RunUntil(end)
 	return Summarize(u.Index, s.Result())
 }

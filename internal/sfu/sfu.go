@@ -92,8 +92,7 @@ func (n *Node) feedbackTick() {
 			n.recorder.RequestPLI()
 		}
 	}
-	rep := n.recorder.Flush(n.sched.Now())
-	n.sender.ReverseLink().Send(netem.Packet{Size: rep.WireSize(), Payload: rep})
+	n.sender.SendFeedback(n.recorder.Flush(n.sched.Now()))
 }
 
 // uplinkRate returns the sender's measured arrival rate at the SFU.
@@ -242,9 +241,9 @@ func (r *Receiver) deliver(np netem.Packet, at time.Duration) {
 // sender's encoded quality for displayed frames and the chained repeat
 // penalty for gaps.
 func (r *Receiver) Records(sender []metrics.FrameRecord) []metrics.FrameRecord {
-	recs := make([]*metrics.FrameRecord, 0, len(sender))
+	recs := make([]metrics.FrameRecord, 0, len(sender))
 	for _, srec := range sender {
-		out := &metrics.FrameRecord{
+		out := metrics.FrameRecord{
 			Index:         srec.Index,
 			CaptureTS:     srec.CaptureTS,
 			Keyframe:      srec.Keyframe,
@@ -276,8 +275,8 @@ func (r *Receiver) Records(sender []metrics.FrameRecord) []metrics.FrameRecord {
 	metrics.EnforceDecodeOrder(recs, r.jbuf.LatenessBudget)
 	// Chain display quality through gaps, as the session does.
 	last := 1.0
-	out := make([]metrics.FrameRecord, 0, len(recs))
-	for _, rec := range recs {
+	for i := range recs {
+		rec := &recs[i]
 		switch rec.Outcome {
 		case metrics.Delivered:
 			last = rec.SSIM
@@ -285,9 +284,8 @@ func (r *Receiver) Records(sender []metrics.FrameRecord) []metrics.FrameRecord {
 			rec.SSIM = codec.SkipSSIM(last, 0.2)
 			last = rec.SSIM
 		}
-		out = append(out, *rec)
 	}
-	return out
+	return recs
 }
 
 // Name returns the receiver's label.

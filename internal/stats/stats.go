@@ -10,6 +10,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -143,6 +144,11 @@ type Summary struct {
 	sum     float64
 }
 
+// Grow reserves room for n more samples, so a caller that knows its
+// sample count records them with one allocation instead of append's
+// doublings.
+func (s *Summary) Grow(n int) { s.samples = slices.Grow(s.samples, n) }
+
 // Add records a sample.
 func (s *Summary) Add(v float64) {
 	s.samples = append(s.samples, v)
@@ -272,11 +278,63 @@ func (h *Histogram) BucketMid(i int) float64 {
 	return h.min + (float64(i)+0.5)*w
 }
 
+// point is one (x, y) sample of a sliding window.
+type point struct{ x, y float64 }
+
+// pointRing is a FIFO of points in a circular buffer: head indexes the
+// oldest point, and segments yields them oldest to newest. A head-sliced window
+// (`s = s[1:]` then append) would leak capacity out the front of its
+// backing array and reallocate every few hundred samples for as long as
+// it runs; the ring grows by doubling (unwrapping in order) to its
+// high-water mark and then reuses one array.
+type pointRing struct {
+	buf  []point
+	head int
+	n    int
+}
+
+// segments returns the points oldest to newest as at most two contiguous
+// runs: older, then newer (nil unless the ring wraps).
+func (q *pointRing) segments() (older, newer []point) {
+	if end := q.head + q.n; end <= len(q.buf) {
+		return q.buf[q.head:end], nil
+	}
+	return q.buf[q.head:], q.buf[:q.head+q.n-len(q.buf)]
+}
+
+// oldest returns the oldest point; the ring must not be empty.
+func (q *pointRing) oldest() point { return q.buf[q.head] }
+
+// push appends p as the newest point.
+func (q *pointRing) push(p point) {
+	if q.n == len(q.buf) {
+		grown := make([]point, max(2*len(q.buf), 8))
+		older, newer := q.segments()
+		copy(grown[copy(grown, older):], newer)
+		q.buf, q.head = grown, 0
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = p
+	q.n++
+}
+
+// pop drops the oldest point.
+func (q *pointRing) pop() {
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+}
+
 // LinReg is an online simple linear regression y = a + b*x over a sliding
 // window of at most N points. It is the core of the GCC trendline filter.
+// The window is a fixed-size ring allocated once, by NewLinReg.
 type LinReg struct {
 	window int
-	xs, ys []float64
+	pts    pointRing
 }
 
 // NewLinReg returns a regression over the last window points. window must be
@@ -285,40 +343,45 @@ func NewLinReg(window int) *LinReg {
 	if window < 2 {
 		panic("stats: LinReg window must be >= 2")
 	}
-	return &LinReg{window: window}
+	return &LinReg{window: window, pts: pointRing{buf: make([]point, window)}}
 }
 
 // Add inserts a point, evicting the oldest when the window is full.
 func (r *LinReg) Add(x, y float64) {
-	r.xs = append(r.xs, x)
-	r.ys = append(r.ys, y)
-	if len(r.xs) > r.window {
-		r.xs = r.xs[1:]
-		r.ys = r.ys[1:]
+	if r.pts.n == r.window {
+		r.pts.pop()
 	}
+	r.pts.push(point{x, y})
 }
 
 // Len returns the number of points currently in the window.
-func (r *LinReg) Len() int { return len(r.xs) }
+func (r *LinReg) Len() int { return r.pts.n }
 
 // Slope returns the least-squares slope b and true, or 0 and false when
-// fewer than two points (or zero x-variance) are available.
+// fewer than two points (or zero x-variance) are available. Points are
+// summed oldest to newest, so the result is bit-identical to a regression
+// over a plain slice of the window.
 func (r *LinReg) Slope() (float64, bool) {
-	n := len(r.xs)
+	n := r.pts.n
 	if n < 2 {
 		return 0, false
 	}
+	older, newer := r.pts.segments()
 	var sx, sy float64
-	for i := 0; i < n; i++ {
-		sx += r.xs[i]
-		sy += r.ys[i]
+	for _, seg := range [2][]point{older, newer} {
+		for _, p := range seg {
+			sx += p.x
+			sy += p.y
+		}
 	}
 	mx, my := sx/float64(n), sy/float64(n)
 	var num, den float64
-	for i := 0; i < n; i++ {
-		dx := r.xs[i] - mx
-		num += dx * (r.ys[i] - my)
-		den += dx * dx
+	for _, seg := range [2][]point{older, newer} {
+		for _, p := range seg {
+			dx := p.x - mx
+			num += dx * (p.y - my)
+			den += dx * dx
+		}
 	}
 	if den == 0 {
 		return 0, false
@@ -327,14 +390,15 @@ func (r *LinReg) Slope() (float64, bool) {
 }
 
 // Reset drops all points.
-func (r *LinReg) Reset() { r.xs = r.xs[:0]; r.ys = r.ys[:0] }
+func (r *LinReg) Reset() { r.pts.head, r.pts.n = 0, 0 }
 
 // RateMeter measures a rate (e.g. acknowledged bitrate) over a sliding time
 // window from (timestamp, amount) samples. Timestamps are float64 seconds.
+// Samples live in a ring that grows to the window's high-water mark and is
+// reused from then on.
 type RateMeter struct {
-	window  float64 // seconds
-	times   []float64
-	amounts []float64
+	window  float64   // seconds
+	samples pointRing // x: time, y: amount
 	total   float64
 }
 
@@ -349,22 +413,22 @@ func NewRateMeter(windowSec float64) *RateMeter {
 // Add records amount observed at time t (seconds). Times must be
 // non-decreasing.
 func (m *RateMeter) Add(t, amount float64) {
-	m.times = append(m.times, t)
-	m.amounts = append(m.amounts, amount)
+	m.samples.push(point{t, amount})
 	m.total += amount
 	m.evict(t)
 }
 
+// evict drops samples older than the window, oldest first, so total sees
+// the same sequence of subtractions as the samples' arrival order.
 func (m *RateMeter) evict(now float64) {
 	cut := now - m.window
-	i := 0
-	for i < len(m.times) && m.times[i] < cut {
-		m.total -= m.amounts[i]
-		i++
-	}
-	if i > 0 {
-		m.times = m.times[i:]
-		m.amounts = m.amounts[i:]
+	for m.samples.n > 0 {
+		p := m.samples.oldest()
+		if p.x >= cut {
+			break
+		}
+		m.total -= p.y
+		m.samples.pop()
 	}
 }
 
@@ -372,10 +436,10 @@ func (m *RateMeter) evict(now float64) {
 // With no samples in the window it returns zero.
 func (m *RateMeter) Rate(t float64) float64 {
 	m.evict(t)
-	if len(m.times) == 0 {
+	if m.samples.n == 0 {
 		return 0
 	}
-	span := t - m.times[0]
+	span := t - m.samples.oldest().x
 	if span < m.window/2 {
 		span = m.window / 2 // avoid wild rates from a near-empty window
 	}
