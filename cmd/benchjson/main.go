@@ -158,9 +158,11 @@ func latestBaseline(dir string) (string, error) {
 }
 
 // report prints a before/after table and returns 1 when any benchmark
-// regressed past maxNsRatio (0 disables the gate).
+// regressed past maxNsRatio (0 disables the gate). A set gate that
+// compared nothing also fails: a renamed or missing benchmark must not
+// turn its tripwire off silently.
 func report(ds []benchjson.Delta, maxNsRatio float64, stdout *cli.Printer) int {
-	regressed := 0
+	regressed, compared := 0, 0
 	stdout.Printf("%-55s %12s %12s %8s %8s\n", "benchmark", "old ns/op", "new ns/op", "ns Δ", "allocs Δ")
 	for _, d := range ds {
 		name := d.Pkg + "." + d.Name
@@ -170,6 +172,7 @@ func report(ds []benchjson.Delta, maxNsRatio float64, stdout *cli.Printer) int {
 		case d.New == nil:
 			stdout.Printf("%-55s %12.0f %12s %8s %8s\n", name, d.Old.NsPerOp, "-", "gone", "")
 		default:
+			compared++
 			nsR, alR := d.NsRatio(), d.AllocsRatio()
 			stdout.Printf("%-55s %12.0f %12.0f %7.2fx %7.2fx\n", name, d.Old.NsPerOp, d.New.NsPerOp, nsR, alR)
 			if maxNsRatio > 0 && nsR > maxNsRatio {
@@ -177,6 +180,10 @@ func report(ds []benchjson.Delta, maxNsRatio float64, stdout *cli.Printer) int {
 				stdout.Printf("REGRESSION: %s ns/op ratio %.2f exceeds %.2f\n", name, nsR, maxNsRatio)
 			}
 		}
+	}
+	if maxNsRatio > 0 && compared == 0 {
+		stdout.Printf("NO MATCH: no benchmark matches a baseline entry; the %.2fx gate compared nothing\n", maxNsRatio)
+		return 1
 	}
 	if regressed > 0 {
 		return 1

@@ -59,6 +59,24 @@ func TestAgainstGate(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("identical run failed the gate: %s", stdout.String())
 	}
+
+	// A renamed benchmark matches no baseline entry: the gate must fail
+	// rather than pass having compared nothing.
+	renamed := strings.ReplaceAll(sample, "BenchmarkSchedulerStep-8", "BenchmarkSchedulerStepRenamed-8")
+	stdout.Reset()
+	code = run([]string{"-against", base, "-max-ns-ratio", "1.5"}, strings.NewReader(renamed), &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("gate with no matching benchmark passed (exit %d): %s", code, stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "NO MATCH") {
+		t.Fatalf("no NO MATCH line: %s", stdout.String())
+	}
+
+	// Without a ratio gate, an unmatched run is a plain report.
+	stdout.Reset()
+	if code := run([]string{"-against", base}, strings.NewReader(renamed), &stdout, &stderr); code != 0 {
+		t.Fatalf("ungated report of an unmatched run failed (exit %d): %s", code, stdout.String())
+	}
 }
 
 // TestLatestBaseline: -against auto must resolve the newest committed

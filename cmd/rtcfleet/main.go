@@ -73,7 +73,6 @@ func runCmd(args []string, stdoutW io.Writer, stderr *cli.Printer, stderrW io.Wr
 		record   = fs.Bool("record", false, "attach per-shard flight recorders (reports event totals)")
 		out      = fs.String("out", "summary", "output: summary | csv | sessions (sessions streams shard by shard)")
 		progress = fs.Bool("progress", false, "report per-shard progress on stderr")
-		schedImp = fs.String("sched", "wheel", "scheduler implementation: wheel | heap (output is identical for either)")
 		cpuprof  = fs.String("cpuprofile", "", "write a CPU profile of the fleet run to this file")
 		memprof  = fs.String("memprofile", "", "write a post-run heap profile to this file")
 	)
@@ -90,11 +89,6 @@ func runCmd(args []string, stdoutW io.Writer, stderr *cli.Printer, stderrW io.Wr
 		stderr.Printf("rtcfleet: unknown -out %q (want summary | csv | sessions)\n", *out)
 		return 2
 	}
-	sched, err := cli.ParseSched(*schedImp)
-	if err != nil {
-		stderr.Printf("rtcfleet: %v\n", err)
-		return 2
-	}
 	build, err := buildScenario(*scen, *duration)
 	if err != nil {
 		stderr.Printf("rtcfleet: %v\n", err)
@@ -108,7 +102,6 @@ func runCmd(args []string, stdoutW io.Writer, stderr *cli.Printer, stderrW io.Wr
 		Seed:     *seed,
 		Build:    build,
 		Record:   *record,
-		Sched:    sched,
 	}
 	if *progress {
 		cfg.Progress = func(done, total int, label string) {

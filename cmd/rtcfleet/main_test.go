@@ -15,6 +15,7 @@ func TestRunBadInvocation(t *testing.T) {
 		want string // substring of stderr
 	}{
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
+		{"removed sched flag", []string{"-sched", "heap"}, "flag provided but not defined"},
 		{"positional arg", []string{"extra"}, "unexpected argument"},
 		{"bad out mode", []string{"-out", "xml"}, "unknown -out"},
 		{"bad scenario", []string{"-scenario", "starlink"}, "unknown scenario"},

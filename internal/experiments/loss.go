@@ -131,7 +131,7 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 		if err := cfg.Validate(); err != nil {
 			panic(fmt.Sprintf("experiments: bad figure5 config: %v", err))
 		}
-		res := r.run(cfg)
+		res := session.Run(cfg)
 		return sample{
 			frac: float64(res.Report.DeliveredFrames) / float64(res.Report.Frames),
 			p95:  res.Report.P95NetDelay.Seconds(),

@@ -80,7 +80,7 @@ func (r *Runner) Figure10(seeds []int64) []Figure10Row {
 		if err := cfg.Validate(); err != nil {
 			panic(fmt.Sprintf("experiments: bad figure10 config: %v", err))
 		}
-		res := r.run(cfg)
+		res := session.Run(cfg)
 		const reclaimedAt units.BitsPerSec = 1.8e6
 		rt := dur - restoreAt // cap: never reclaimed
 		for _, p := range res.Timeline {

@@ -73,7 +73,7 @@ func (r *Runner) Figure6(seeds []int64) []Figure6Row {
 	}, func(i int) sample {
 		c := cells[i]
 		ctrl := core.NewAdaptive(core.AdaptiveConfig{EnableResolution: c.useRes})
-		res := r.run(session.Config{
+		res := session.Run(session.Config{
 			Duration:    dropAt + 20*time.Second,
 			Seed:        c.seed,
 			Content:     video.Gaming,

@@ -67,7 +67,7 @@ func (r *Runner) Figure9(seeds []int64) []Figure9Row {
 		return fmt.Sprintf("figure9 layer-selection=%t seed=%d", c.layerSel, c.seed)
 	}, func(i int) [len(figure9Receivers)]recvSample {
 		c := cells[i]
-		sched := simtime.NewSchedulerWith(r.sched())
+		sched := simtime.NewScheduler()
 		uplink := netem.NewLink(sched, netem.Config{Trace: trace.Constant(2.5e6), Seed: c.seed})
 		sender := session.New(sched, session.Config{
 			Duration:    30 * time.Second,

@@ -82,10 +82,6 @@ type Config struct {
 	// Progress, when non-nil, is called after each finished shard in
 	// completion order (see experiments.Runner.Progress).
 	Progress func(done, total int, label string)
-	// Sched selects the scheduler implementation each shard constructs
-	// (zero: the timer wheel); see session.Config.Sched. Output is
-	// byte-identical for either implementation.
-	Sched simtime.Config
 }
 
 // normalize validates cfg and resolves defaults.
@@ -184,7 +180,7 @@ func makeShards(cfg Config) []*shard {
 			cfg:   cfg,
 			lo:    lo,
 			hi:    lo + size,
-			sched: simtime.NewSchedulerWith(cfg.Sched),
+			sched: simtime.NewScheduler(),
 			rec:   rec,
 		}
 		lo += size

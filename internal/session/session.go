@@ -134,13 +134,6 @@ type Config struct {
 	// either way.
 	Recorder *obs.Recorder
 
-	// Sched selects the scheduler implementation Run constructs (zero:
-	// the timer wheel). Both implementations fire the identical event
-	// sequence — this switch exists for differential testing
-	// (TestWheelMatchesHeap) and only changes host-CPU work. Ignored by
-	// RunOn, which receives its scheduler from the caller.
-	Sched simtime.Config
-
 	// PacerBurst, when positive, lets the pacer release up to this many
 	// bytes of queued packets in one scheduled event instead of one event
 	// per packet (see pacer.Config.Burst). Zero keeps per-packet release.
@@ -973,7 +966,7 @@ func fecRecovered(d *fec.Decoder) int {
 
 // Run executes one session end to end: the common single-flow entry point.
 func Run(cfg Config) Result {
-	return new(Session).run(simtime.NewSchedulerWith(cfg.Sched), cfg)
+	return new(Session).run(simtime.NewScheduler(), cfg)
 }
 
 // run (re)builds the session for cfg on sched, which must be fresh or

@@ -2,13 +2,13 @@ package simtime
 
 import "testing"
 
-// FuzzSchedulerEquivalence feeds fuzzer-chosen op streams through both
-// queue implementations and fails on any divergence in fire order, fire
-// times, final clock, or final queue length. The wheel's correctness
-// argument (placement invariant, cascade, exact in-slot ordering) is
-// structural; this is the mechanical check that no workload shape — near
-// and far horizons, same-instant bursts, cancels, resets — can tell the
-// two implementations apart.
+// FuzzSchedulerEquivalence feeds fuzzer-chosen op streams through the wheel
+// and the reference model (refSched) and fails on any divergence in fire
+// order, fire times, final clock, or final queue length. The wheel's
+// correctness argument (placement invariant, cascade, exact in-slot
+// ordering) is structural; this is the mechanical check that no workload
+// shape — near and far horizons, same-instant bursts, cancels, resets — can
+// tell the wheel from a plain sorted queue.
 func FuzzSchedulerEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 255, 5, 0})
@@ -22,6 +22,6 @@ func FuzzSchedulerEquivalence(f *testing.F) {
 		if len(ops) > 2048 {
 			ops = ops[:2048] // bound per-exec work; coverage, not volume
 		}
-		diffImpls(t, ops)
+		diffModel(t, ops)
 	})
 }

@@ -1,9 +1,9 @@
 package simtime
 
 // eventHeap is a binary min-heap of event records ordered by (at, seq).
-// It backs the ImplHeap scheduler queue and the timer wheel's overflow
-// bucket. Each queued record's index field mirrors its position in the
-// heap array so Cancel can remove interior elements in O(log n).
+// It backs the timer wheel's overflow bucket and its ready heap. Each
+// queued record's index field mirrors its position in the heap array so
+// Cancel can remove interior elements in O(log n).
 type eventHeap []*event
 
 // less orders the heap by deadline, then scheduling order. seq is unique

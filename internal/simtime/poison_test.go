@@ -107,7 +107,7 @@ func TestReleaseClearsPayloadFields(t *testing.T) {
 				i, ev.fn != nil, ev.argFn != nil, ev.arg)
 		}
 		if ev.index != -1 {
-			t.Errorf("free record %d still claims heap index %d", i, ev.index)
+			t.Errorf("free record %d still claims queue index %d", i, ev.index)
 		}
 		if ev.prev != 0 {
 			t.Errorf("free record %d retains slot link prev=%d", i, ev.prev)

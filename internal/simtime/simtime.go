@@ -5,26 +5,19 @@
 // The zero value of Scheduler is ready to use. Events scheduled for the same
 // instant fire in scheduling order (FIFO), which keeps runs reproducible.
 //
-// # Queue implementations
-//
-// Two interchangeable queue implementations exist behind Config.Impl: a
-// hierarchical timer wheel (ImplWheel, the default — see wheel.go) and a
-// binary min-heap (ImplHeap, the original). Both fire the exact same
-// (at, seq)-ordered event sequence; the choice only changes host-CPU work
-// per event, never virtual-time ordering. The heap stays alive for
-// differential testing (TestWheelMatchesHeap, FuzzSchedulerEquivalence)
-// and as a fallback for pathological far-horizon workloads.
+// The queue is a hierarchical timer wheel (see wheel.go). Tests check it
+// against a plain reference model (FuzzSchedulerEquivalence) that shares
+// no code with it.
 //
 // # Allocation model
 //
 // The scheduler is allocation-free in steady state. Fired and canceled
 // events return to a per-scheduler free list and are recycled by later At
-// and After calls; the wheel's slot arrays (or the heap's backing array)
-// are reused across the whole run. Handles stay safe across recycling
-// through generation counters: every recycle bumps the record's generation,
-// so a stale handle (its event already fired or canceled) simply stops
-// matching and Cancel degrades to a no-op instead of corrupting an
-// unrelated event.
+// and After calls; the wheel's slot arrays are reused across the whole
+// run. Handles stay safe across recycling through generation counters:
+// every recycle bumps the record's generation, so a stale handle (its
+// event already fired or canceled) simply stops matching and Cancel
+// degrades to a no-op instead of corrupting an unrelated event.
 //
 // Callbacks come in two forms. At and After take a plain func(), which is
 // what cold paths and tests want but allocates a closure whenever the
@@ -48,32 +41,6 @@ type Clock interface {
 	Now() time.Duration
 }
 
-// Impl selects the scheduler's queue implementation.
-type Impl uint8
-
-const (
-	// ImplWheel is the hierarchical timer wheel (default).
-	ImplWheel Impl = iota
-	// ImplHeap is the binary min-heap the wheel replaced; kept for
-	// differential testing.
-	ImplHeap
-)
-
-// String returns the implementation's canonical name.
-func (im Impl) String() string {
-	if im == ImplHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// Config selects scheduler construction options. The zero value is the
-// production configuration.
-type Config struct {
-	// Impl selects the queue implementation; the zero value is ImplWheel.
-	Impl Impl
-}
-
 // event is the pooled record behind an Event handle. Records are owned by
 // one scheduler forever: they cycle between its queue and its free list and
 // are never shared across schedulers, so pooling is invisible to parallel
@@ -86,14 +53,15 @@ type event struct {
 	argFn func(any)
 	arg   any
 
-	// index locates the record inside its container: the heap index
-	// (ImplHeap or wheel overflow), or 0 as a queued marker for wheel
-	// slot residents (their position is carried by the next/prev links).
+	// index locates the record inside its container: the index in the
+	// wheel's overflow or ready heap, or 0 as a queued marker for slot
+	// residents (their position is carried by the next/prev links).
 	// index == -1 means not queued; Pending and the pool tests key on
-	// that regardless of implementation.
+	// that.
 	index int
-	// level says which container the record is in: a wheel level 0..3,
-	// locHeap, or locOver. Meaningless while index == -1.
+	// level says which container the record is in: a wheel level
+	// 0..wheelLevels-1, locOver, or locReady. Meaningless while
+	// index == -1.
 	level int8
 	// slot is the wheel slot number when level is a wheel level.
 	slot uint16
@@ -151,7 +119,7 @@ func (e Event) Cancel() bool {
 	}
 	ev := e.ev
 	s := ev.s
-	s.unqueue(ev)
+	s.wheel.remove(s, ev)
 	ev.canceledGen = ev.gen
 	s.release(ev)
 	return true
@@ -169,9 +137,7 @@ func (e Event) Canceled() bool {
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64
-	impl    Impl
 	stopped bool
-	queue   eventHeap // ImplHeap main queue
 	// arena backs every event record the scheduler ever mints, in
 	// fixed-size chunks so records keep stable addresses while ids stay
 	// dense. minted counts records carved out so far; freeHead chains
@@ -179,7 +145,7 @@ type Scheduler struct {
 	arena    [][]event
 	minted   int
 	freeHead int32
-	wheel    wheel // ImplWheel main queue
+	wheel    wheel
 }
 
 // Arena geometry: 256 records per chunk keeps a chunk around 24 KB —
@@ -196,27 +162,15 @@ func (s *Scheduler) evAt(id int32) *event {
 	return &s.arena[i>>chunkShift][i&chunkMask]
 }
 
-// NewScheduler returns a wheel-backed scheduler with the clock at zero.
+// NewScheduler returns a scheduler with the clock at zero.
 func NewScheduler() *Scheduler { return &Scheduler{} }
-
-// NewSchedulerWith returns a scheduler built from cfg with the clock at
-// zero. NewSchedulerWith(Config{}) is equivalent to NewScheduler.
-func NewSchedulerWith(cfg Config) *Scheduler { return &Scheduler{impl: cfg.Impl} }
-
-// Impl reports which queue implementation the scheduler runs on.
-func (s *Scheduler) Impl() Impl { return s.impl }
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
 
 // Len returns the number of pending events. Canceled events leave the
 // queue immediately, so the count is exact.
-func (s *Scheduler) Len() int {
-	if s.impl == ImplHeap {
-		return len(s.queue)
-	}
-	return s.wheel.count
-}
+func (s *Scheduler) Len() int { return s.wheel.count }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it always indicates a simulation bug, and silently reordering
@@ -272,12 +226,7 @@ func (s *Scheduler) schedule(t time.Duration, fn func(), argFn func(any), arg an
 	ev.argFn = argFn
 	ev.arg = arg
 	s.seq++
-	if s.impl == ImplHeap {
-		ev.level = locHeap
-		s.queue.push(ev)
-	} else {
-		s.wheel.push(s, ev)
-	}
+	s.wheel.push(s, ev)
 	return Event{ev: ev, gen: ev.gen, at: t}
 }
 
@@ -315,34 +264,13 @@ func (s *Scheduler) release(ev *event) {
 	s.freeHead = ev.id
 }
 
-// earliest returns the queued event with the minimal (at, seq), or nil.
-func (s *Scheduler) earliest() *event {
-	if s.impl == ImplHeap {
-		if len(s.queue) == 0 {
-			return nil
-		}
-		return s.queue[0]
-	}
-	return s.wheel.min(s)
-}
-
-// unqueue removes a queued event from whichever container holds it,
-// without releasing the record.
-func (s *Scheduler) unqueue(ev *event) {
-	if ev.level == locHeap {
-		s.queue.removeAt(ev.index)
-		return
-	}
-	s.wheel.remove(s, ev)
-}
-
 // Reset returns the scheduler to its initial state — empty queue, clock at
 // zero, sequence counter at zero, stop flag cleared — while keeping the
-// event free list and the queue's backing arrays (heap array or wheel slot
-// arrays). One scheduler can thereby be reused across many sequential
-// simulation runs (the fleet's per-shard discipline) with its pools already
-// warm: the first run pays the event allocations, every later run on the
-// same scheduler is allocation-free in steady state.
+// event free list and the wheel's backing arrays. One scheduler can
+// thereby be reused across many sequential simulation runs (the fleet's
+// per-shard discipline) with its pools already warm: the first run pays
+// the event allocations, every later run on the same scheduler is
+// allocation-free in steady state.
 //
 // Pending events are canceled: their records are recycled and outstanding
 // handles go stale (Pending reports false, Cancel is a no-op). Because seq
@@ -350,16 +278,7 @@ func (s *Scheduler) unqueue(ev *event) {
 // freshly constructed one would — Reset-reuse is invisible to the
 // simulation running on it.
 func (s *Scheduler) Reset() {
-	if s.impl == ImplHeap {
-		for _, ev := range s.queue {
-			ev.canceledGen = ev.gen
-			s.release(ev)
-		}
-		clear(s.queue)
-		s.queue = s.queue[:0]
-	} else {
-		s.wheel.reset(s)
-	}
+	s.wheel.reset(s)
 	s.now = 0
 	s.seq = 0
 	s.stopped = false
@@ -374,14 +293,12 @@ const maxDeadline = time.Duration(math.MaxInt64)
 // on; the event's record is recycled before the callback runs, so a
 // callback that schedules new events reuses it immediately.
 func (s *Scheduler) step(limit time.Duration) bool {
-	ev := s.earliest()
+	ev := s.wheel.min(s)
 	if ev == nil || ev.at > limit {
 		return false
 	}
-	s.unqueue(ev)
-	if s.impl != ImplHeap {
-		s.wheel.advance(s, wheelTick(ev.at))
-	}
+	s.wheel.remove(s, ev)
+	s.wheel.advance(s, wheelTick(ev.at))
 	s.now = ev.at
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 	s.release(ev)
@@ -401,7 +318,7 @@ func (s *Scheduler) Step() bool { return s.step(maxDeadline) }
 // Peek returns the deadline of the earliest pending event and true, or zero
 // and false if none is pending.
 func (s *Scheduler) Peek() (time.Duration, bool) {
-	ev := s.earliest()
+	ev := s.wheel.min(s)
 	if ev == nil {
 		return 0, false
 	}
@@ -418,9 +335,7 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	}
 	if !s.stopped && s.now < t {
 		s.now = t
-		if s.impl != ImplHeap {
-			s.wheel.advance(s, wheelTick(t))
-		}
+		s.wheel.advance(s, wheelTick(t))
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Hierarchical timer wheel (ImplWheel, the default scheduler queue).
+// Hierarchical timer wheel, the scheduler's event queue.
 //
 // Virtual time is bucketed into ticks of 2^tickShift ns (~8.2 µs). The
 // wheel has wheelLevels levels of wheelSlots slots each; level l spans
@@ -41,8 +41,8 @@ import (
 // min-heap of ready events, so a same-instant burst of k events pops in
 // O(log k) apiece rather than rescanning the bag per pop. The FIFO
 // tie-break for same-instant events is the heap's seq order. The wheel
-// therefore fires the exact same sequence as the binary heap — only
-// host-CPU work changes, never virtual-time order.
+// therefore fires events in exact (at, seq) order, the order a plain
+// sorted queue would give.
 const (
 	tickShift   = 13 // 1 tick = 8.192 µs of virtual time
 	wheelBits   = 11
@@ -53,12 +53,11 @@ const (
 )
 
 // Event location tags (event.level). Values 0..wheelLevels-1 are wheel
-// levels; the named tags mark the three heap locations. A record that is
+// levels; the named tags mark the two heap locations. A record that is
 // not queued anywhere has index == -1 and its level is meaningless.
 const (
-	locHeap  int8 = wheelLevels     // ImplHeap main queue
-	locOver  int8 = wheelLevels + 1 // wheel overflow heap
-	locReady int8 = wheelLevels + 2 // wheel ready heap (current tick)
+	locOver  int8 = wheelLevels     // overflow heap
+	locReady int8 = wheelLevels + 1 // ready heap (current tick)
 )
 
 // wheelTick converts a deadline to its wheel tick. Deadlines are never
