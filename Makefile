@@ -2,7 +2,7 @@ GO       ?= go
 PKGS     := ./...
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint lint-fix lint-purity lint-units lint-baseline-check lint-budget fuzz-smoke bench bench-parallel bench-json bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke profile check
+.PHONY: build test race lint lint-fix lint-purity lint-units lint-baseline-check lint-budget fuzz-smoke bench bench-parallel bench-json bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke results-smoke profile check
 
 build:
 	$(GO) build $(PKGS)
@@ -89,6 +89,15 @@ scenario-smoke:
 	$(GO) run ./cmd/benchdrop -exp scenarios -scenario standard,lte,oscillating \
 		-seeds 2 -duration 10s -parallel 4 > build/scenario-smoke/sweep.txt
 	diff docs/scenario_snapshot.txt build/scenario-smoke/sweep.txt
+
+# Full results-snapshot gate. Regenerates every table and figure on a
+# parallel runner and diffs the output against the committed snapshot:
+# `go test` pins only Figure 1, so this is the gate that proves a change
+# left every experiment number alone. An intended change regenerates the
+# snapshot (and explains the diff) with:
+#   go run ./cmd/benchdrop -exp all > docs/results_snapshot.txt
+results-smoke:
+	$(GO) run ./cmd/benchdrop -exp all -parallel 4 | diff - docs/results_snapshot.txt
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(PKGS)

@@ -42,7 +42,7 @@ func main() {
 		format        = flag.String("format", "text", "output format: text | csv")
 		parallel      = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size; 1 runs fully sequentially")
 		progress      = flag.Bool("progress", false, "log per-cell progress to stderr")
-		scenarios     = flag.String("scenario", "", "comma-separated scenario presets or YAML/JSON files for -exp scenarios (default: every preset)")
+		scenarios     = flag.String("scenario", "", "comma-separated scenario presets, YAML/JSON scenario files or seconds,bps CSV traces for -exp scenarios (default: every preset)")
 		duration      = flag.Duration("duration", 30*time.Second, "per-session length for -exp scenarios")
 		gridKind      = flag.String("grid", "default", "frontier sweep grid: default | small")
 		listScenarios = flag.Bool("list-scenarios", false, "list the built-in scenario presets and fleet populations, then exit")

@@ -67,7 +67,7 @@ func runCmd(args []string, stdoutW io.Writer, stderr *cli.Printer, stderrW io.Wr
 		sessions = fs.Int("sessions", 1000, "population size")
 		shards   = fs.Int("shards", 1, "scheduler shards (output is identical for any value)")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS; output is identical for any value)")
-		scen     = fs.String("scenario", "drop", "population ("+strings.Join(fleet.ScenarioNames(), " | ")+"), scenario preset, or YAML/JSON scenario file")
+		scen     = fs.String("scenario", "drop", "population ("+strings.Join(fleet.ScenarioNames(), " | ")+"), scenario preset, YAML/JSON scenario file, or seconds,bps CSV trace")
 		seed     = fs.Int64("seed", 1, "fleet seed; session i runs with seed+i")
 		duration = fs.Duration("duration", 10*time.Second, "per-session length")
 		record   = fs.Bool("record", false, "attach per-shard flight recorders (reports event totals)")

@@ -2,15 +2,16 @@
 //
 // Examples:
 //
-//	rtcsim -trace drop -before 2.5e6 -after 0.8e6 -dropat 10s -controller adaptive
-//	rtcsim -trace lte -controller native-rc -duration 60s -out frames
-//	rtcsim -tracefile lte.csv -controller adaptive -out timeline
+//	rtcsim -controller adaptive                 # the standard 2.5 -> 0.8 Mbps drop
+//	rtcsim -scenario lte -controller native-rc -duration 60s -out frames
+//	rtcsim -scenario lte.csv -controller adaptive -out timeline
 //	rtcsim -scenario flash-crowd -controller adaptive
 //	rtcsim -scenario path.yaml -controller native-rc
 //
-// -scenario names a preset from the declarative corpus or a YAML/JSON
-// scenario file; it pins the whole path (capacity trace, loss, RTT,
-// queue), overriding the individual path flags. The scenario's natural
+// -scenario is the whole network path: a preset from the declarative
+// corpus (default "standard", the paper's Figure 1 drop), a YAML/JSON
+// scenario file, or a measured "seconds,bps" CSV trace. It pins the
+// capacity trace, loss, burst loss, RTT and queue. The scenario's natural
 // duration is used unless -duration is given explicitly.
 package main
 
@@ -24,10 +25,8 @@ import (
 	"rtcadapt/internal/cc"
 	"rtcadapt/internal/cli"
 	"rtcadapt/internal/metrics"
-	"rtcadapt/internal/netem"
 	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 )
 
 func main() {
@@ -52,19 +51,12 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 	fs := flag.NewFlagSet("rtcsim", flag.ContinueOnError)
 	fs.SetOutput(stderrW)
 	var (
-		traceKind  = fs.String("trace", "drop", "capacity trace: const | drop | lte | wifi")
-		traceFile  = fs.String("tracefile", "", "CSV capacity trace (overrides -trace)")
-		scen       = fs.String("scenario", "", "scenario preset or YAML/JSON scenario file; pins the path, overriding -trace/-tracefile/-loss/-burstloss")
-		before     = fs.Float64("before", 2.5e6, "capacity before the drop, bits/s")
-		after      = fs.Float64("after", 0.8e6, "capacity after the drop, bits/s")
-		dropAt     = fs.Duration("dropat", 10*time.Second, "drop instant")
+		scen       = fs.String("scenario", "standard", "network path: scenario preset, YAML/JSON scenario file, or seconds,bps CSV trace")
 		controller = fs.String("controller", "adaptive", "controller: native-rc | reset-only | adaptive")
 		estimator  = fs.String("estimator", "gcc", "estimator: gcc | oracle")
 		content    = fs.String("content", "talking-head", "content: talking-head | screen-share | gaming | sports")
-		duration   = fs.Duration("duration", 30*time.Second, "session length")
+		duration   = fs.Duration("duration", 30*time.Second, "session length (unset: the scenario's natural span, if it has one)")
 		seed       = fs.Int64("seed", 1, "random seed")
-		loss       = fs.Float64("loss", 0, "random loss probability")
-		burstLoss  = fs.Float64("burstloss", 0, "bursty loss rate (Gilbert-Elliott, mean burst 8 pkts)")
 		fbLoss     = fs.Float64("feedbackloss", 0, "reverse-path (feedback) loss probability")
 		nack       = fs.Bool("nack", false, "enable NACK retransmission")
 		fecK       = fs.Int("fec", 0, "FEC group size (0 = off; e.g. 4 = 25% overhead)")
@@ -103,29 +95,15 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		}
 	})
 
-	var scPath *scenario.Path
-	if *scen != "" {
-		sc, err := cli.ResolveScenario(*scen)
-		if err != nil {
-			stderr.Printf("rtcsim: %v\n", err)
-			return 2
-		}
-		p, err := sc.Compile(scenario.CompileConfig{Seed: *seed, Duration: *duration})
-		if err != nil {
-			stderr.Printf("rtcsim: %v\n", err)
-			return 2
-		}
-		scPath = &p
+	sc, err := cli.ResolveScenario(*scen)
+	if err != nil {
+		stderr.Printf("rtcsim: %v\n", err)
+		return 2
 	}
-
-	var tr *trace.Trace
-	if scPath == nil {
-		var err error
-		tr, err = cli.BuildTrace(*traceKind, *traceFile, *before, *after, *dropAt, *seed, *duration)
-		if err != nil {
-			stderr.Printf("rtcsim: %v\n", err)
-			return 2
-		}
+	path, err := sc.Compile(scenario.CompileConfig{Seed: *seed, Duration: *duration})
+	if err != nil {
+		stderr.Printf("rtcsim: %v\n", err)
+		return 2
 	}
 	ctrl, err := cli.BuildController(*controller, *resolution)
 	if err != nil {
@@ -139,11 +117,8 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 	}
 
 	cfg := session.Config{
-		Duration:         *duration,
 		Seed:             *seed,
 		Content:          cls,
-		Trace:            tr,
-		LossProb:         *loss,
 		FeedbackLossProb: *fbLoss,
 		NACK:             *nack,
 		FECGroupSize:     *fecK,
@@ -152,18 +127,10 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		Controller:       ctrl,
 	}
 	cfg.Encoder.TemporalLayers = *tlayers
-	if *burstLoss > 0 {
-		cfg.BurstLoss = netem.NewGilbertElliott(8, *burstLoss)
+	if durationSet {
+		cfg.Duration = *duration
 	}
-	if scPath != nil {
-		if !durationSet {
-			cfg.Duration = 0 // let the scenario's natural span fill it
-		}
-		cli.ApplyScenario(&cfg, *scPath)
-		if cfg.Duration == 0 {
-			cfg.Duration = *duration
-		}
-	}
+	cfg.ApplyPath(path)
 	if *estimator == "oracle" {
 		cfg.NewEstimator = func(capacity cc.CapacityFunc) cc.Estimator {
 			return cc.NewOracle(capacity, 0.95)

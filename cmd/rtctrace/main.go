@@ -25,7 +25,6 @@ import (
 	"rtcadapt/internal/plot"
 	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 )
 
 func main() {
@@ -49,18 +48,12 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 	fs := flag.NewFlagSet("rtctrace", flag.ContinueOnError)
 	fs.SetOutput(stderrW)
 	var (
-		exp        = fs.String("exp", "", "experiment preset: figure1 (2.5->0.8 Mbps drop at 10s, talking-head, adaptive)")
-		scen       = fs.String("scenario", "", "scenario preset or YAML/JSON scenario file; pins the path, overriding -trace/-tracefile/-loss")
-		traceKind  = fs.String("trace", "drop", "capacity trace: const | drop | lte | wifi")
-		traceFile  = fs.String("tracefile", "", "CSV capacity trace (overrides -trace)")
-		before     = fs.Float64("before", 2.5e6, "capacity before the drop, bits/s")
-		after      = fs.Float64("after", 0.8e6, "capacity after the drop, bits/s")
-		dropAt     = fs.Duration("dropat", 10*time.Second, "drop instant")
+		exp        = fs.String("exp", "", "experiment preset: figure1 (the standard scenario, talking-head, adaptive)")
+		scen       = fs.String("scenario", "standard", "network path: scenario preset, YAML/JSON scenario file, or seconds,bps CSV trace")
 		controller = fs.String("controller", "adaptive", "controller: native-rc | reset-only | adaptive")
 		content    = fs.String("content", "talking-head", "content: talking-head | screen-share | gaming | sports")
-		duration   = fs.Duration("duration", 30*time.Second, "session length")
+		duration   = fs.Duration("duration", 30*time.Second, "session length (unset: the scenario's natural span, if it has one)")
 		seed       = fs.Int64("seed", 1, "random seed")
-		loss       = fs.Float64("loss", 0, "random loss probability")
 		capacity   = fs.Int("capacity", 0, "recorder ring capacity in events (0 = default)")
 		out        = fs.String("out", "", "output file; empty renders the ASCII timeline to stdout")
 		format     = fs.String("format", "", "export format: chrome | csv | ascii (default: by -out extension)")
@@ -99,23 +92,20 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		}
 	})
 	return runRecord(recordOpts{
-		exp: *exp, scenario: *scen, traceKind: *traceKind, traceFile: *traceFile,
-		before: *before, after: *after, dropAt: *dropAt,
-		controller: *controller, content: *content,
-		duration: *duration, durationSet: durationSet, seed: *seed, loss: *loss,
+		exp: *exp, scenario: *scen, controller: *controller, content: *content,
+		duration: *duration, durationSet: durationSet, seed: *seed,
 		capacity: *capacity, out: *out, format: *format, width: *width,
 	}, stdout, stderr)
 }
 
 // recordOpts carries the record-mode flag values.
 type recordOpts struct {
-	exp, scenario, traceKind, traceFile string
-	before, after, loss                 float64
-	dropAt, duration                    time.Duration
-	controller, content, out            string
-	format                              string
-	seed                                int64
-	capacity, width                     int
+	exp, scenario            string
+	duration                 time.Duration
+	controller, content, out string
+	format                   string
+	seed                     int64
+	capacity, width          int
 	// durationSet records whether -duration was given explicitly; when
 	// not, a -scenario's natural span wins.
 	durationSet bool
@@ -146,9 +136,7 @@ func runRecord(o recordOpts, stdout, stderr *cli.Printer) int {
 	if o.exp != "" {
 		switch o.exp {
 		case "figure1":
-			o.traceKind, o.traceFile = "drop", ""
-			o.before, o.after, o.dropAt = 2.5e6, 0.8e6, 10*time.Second
-			o.content, o.controller, o.loss = "talking-head", "adaptive", 0
+			o.scenario, o.content, o.controller = "standard", "talking-head", "adaptive"
 		default:
 			stderr.Printf("rtctrace: unknown -exp %q (want figure1)\n", o.exp)
 			return 2
@@ -159,28 +147,15 @@ func runRecord(o recordOpts, stdout, stderr *cli.Printer) int {
 		stderr.Printf("rtctrace: %v\n", err)
 		return 2
 	}
-	var scPath *scenario.Path
-	if o.scenario != "" {
-		sc, err := cli.ResolveScenario(o.scenario)
-		if err != nil {
-			stderr.Printf("rtctrace: %v\n", err)
-			return 2
-		}
-		p, err := sc.Compile(scenario.CompileConfig{Seed: o.seed, Duration: o.duration})
-		if err != nil {
-			stderr.Printf("rtctrace: %v\n", err)
-			return 2
-		}
-		scPath = &p
+	sc, err := cli.ResolveScenario(o.scenario)
+	if err != nil {
+		stderr.Printf("rtctrace: %v\n", err)
+		return 2
 	}
-	var tr *trace.Trace
-	if scPath == nil {
-		var err error
-		tr, err = cli.BuildTrace(o.traceKind, o.traceFile, o.before, o.after, o.dropAt, o.seed, o.duration)
-		if err != nil {
-			stderr.Printf("rtctrace: %v\n", err)
-			return 2
-		}
+	path, err := sc.Compile(scenario.CompileConfig{Seed: o.seed, Duration: o.duration})
+	if err != nil {
+		stderr.Printf("rtctrace: %v\n", err)
+		return 2
 	}
 	ctrl, err := cli.BuildController(o.controller, false)
 	if err != nil {
@@ -194,23 +169,15 @@ func runRecord(o recordOpts, stdout, stderr *cli.Printer) int {
 	}
 	rec := obs.NewRecorder(o.capacity)
 	cfg := session.Config{
-		Duration:   o.duration,
 		Seed:       o.seed,
 		Content:    cls,
-		Trace:      tr,
-		LossProb:   o.loss,
 		Controller: ctrl,
 		Recorder:   rec,
 	}
-	if scPath != nil {
-		if !o.durationSet {
-			cfg.Duration = 0 // let the scenario's natural span fill it
-		}
-		cli.ApplyScenario(&cfg, *scPath)
-		if cfg.Duration == 0 {
-			cfg.Duration = o.duration
-		}
+	if o.durationSet {
+		cfg.Duration = o.duration
 	}
+	cfg.ApplyPath(path)
 	if err := cfg.Validate(); err != nil {
 		stderr.Printf("rtctrace: %v\n", err)
 		return 2

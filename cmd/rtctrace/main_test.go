@@ -95,7 +95,7 @@ func TestDiffDivergentRuns(t *testing.T) {
 	a := filepath.Join(dir, "a.csv")
 	b := filepath.Join(dir, "b.csv")
 	record(t, "-out", a)
-	record(t, "-out", b, "-loss", "0.05")
+	record(t, "-out", b, "-seed", "2")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-diff", a, b}, &stdout, &stderr); code != 1 {
 		t.Fatalf("diff of divergent runs exit %d, want 1", code)
@@ -106,7 +106,13 @@ func TestDiffDivergentRuns(t *testing.T) {
 }
 
 func TestBadInvocations(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.csv")
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.csv")
+	lossy := filepath.Join(dir, "lossy.yaml")
+	doc := "name: lossy\nphases:\n  - duration: 1s\n    capacity: 1Mbps\nloss: 2\n"
+	if err := os.WriteFile(lossy, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -114,14 +120,23 @@ func TestBadInvocations(t *testing.T) {
 		{"unknown flag", []string{"-definitely-not-a-flag"}},
 		{"unknown exp", []string{"-exp", "figure99"}},
 		{"unknown format", []string{"-format", "xml", "-out", "t.bin"}},
-		{"unknown trace", []string{"-trace", "dsl"}},
+		{"unknown trace", []string{"-scenario", missing}},
 		{"unknown controller", []string{"-controller", "psychic"}},
 		{"unknown content", []string{"-content", "cats"}},
-		{"loss out of range", []string{"-loss", "2"}},
+		{"loss out of range", []string{"-scenario", lossy}},
 		{"inspect and diff", []string{"-inspect", "-diff", "a", "b"}},
 		{"inspect missing arg", []string{"-inspect"}},
 		{"diff one arg", []string{"-diff", "a.csv"}},
 		{"stray positional", []string{"whoops"}},
+		// The path is a scenario property: the old per-field path flags
+		// are unknown flags.
+		{"removed -trace flag", []string{"-trace", "drop"}},
+		{"removed -tracefile flag", []string{"-tracefile", "drop.csv"}},
+		{"removed -before flag", []string{"-before", "2.5e6"}},
+		{"removed -after flag", []string{"-after", "0.8e6"}},
+		{"removed -dropat flag", []string{"-dropat", "10s"}},
+		{"removed -loss flag", []string{"-loss", "0.05"}},
+		{"removed -burstloss flag", []string{"-burstloss", "0.05"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

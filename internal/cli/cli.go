@@ -1,43 +1,15 @@
 // Package cli holds the flag-value parsers shared by the command-line
-// tools (rtcsim, rtcplot): trace construction, controller selection, and
-// content-class lookup, kept here so they are unit-testable.
+// tools (rtcsim, rtctrace, rtcplot, rtcfleet, benchdrop): scenario
+// resolution, controller selection, and content-class lookup, kept here
+// so they are unit-testable.
 package cli
 
 import (
 	"fmt"
-	"os"
-	"time"
 
 	"rtcadapt/internal/core"
-	"rtcadapt/internal/trace"
-	"rtcadapt/internal/units"
 	"rtcadapt/internal/video"
 )
-
-// BuildTrace constructs a capacity trace from tool flags. When file is
-// non-empty it loads a CSV trace and ignores kind.
-func BuildTrace(kind, file string, before, after float64, dropAt time.Duration,
-	seed int64, dur time.Duration) (*trace.Trace, error) {
-	if file != "" {
-		f, err := os.Open(file)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.ReadCSV(file, f)
-	}
-	switch kind {
-	case "const":
-		return trace.Constant(units.BitsPerSec(before)), nil
-	case "drop":
-		return trace.StepDrop(units.BitsPerSec(before), units.BitsPerSec(after), dropAt), nil
-	case "lte":
-		return trace.LTE(seed, dur, trace.LTEConfig{Mean: before}), nil
-	case "wifi":
-		return trace.WiFi(seed, dur, trace.WiFiConfig{Mean: before}), nil
-	}
-	return nil, fmt.Errorf("unknown trace kind %q", kind)
-}
 
 // BuildController constructs a controller by name. resolution enables the
 // adaptive controller's resolution ladder.

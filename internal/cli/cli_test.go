@@ -3,48 +3,41 @@ package cli
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/video"
 )
 
-func TestBuildTraceKinds(t *testing.T) {
-	for _, kind := range []string{"const", "drop", "lte", "wifi"} {
-		tr, err := BuildTrace(kind, "", 2e6, 1e6, 5*time.Second, 1, 10*time.Second)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if bps, _ := tr.RateAt(0); bps <= 0 {
-			t.Errorf("%s: zero rate", kind)
-		}
-	}
-	if _, err := BuildTrace("bogus", "", 1, 1, 0, 1, time.Second); err == nil {
-		t.Error("unknown kind accepted")
-	}
-}
-
-func TestBuildTraceFromFile(t *testing.T) {
+// TestResolveScenarioCSV pins the measured-trace spelling: a .csv
+// argument reads as a trace_csv scenario whose path spans the compile
+// duration, and a missing file is an error at resolution time.
+func TestResolveScenarioCSV(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, []byte("seconds,bps\n0,2000000\n1,1000000\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.StepDrop(2e6, 1e6, time.Second).WriteCSV(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	tr, err := BuildTrace("ignored", path, 0, 0, 0, 0, 0)
+	s, err := ResolveScenario(path)
 	if err != nil {
-		t.Fatalf("BuildTrace(file): %v", err)
+		t.Fatalf("ResolveScenario(csv): %v", err)
 	}
-	if bps, _ := tr.RateAt(2 * time.Second); bps != 1e6 {
-		t.Errorf("rate = %v", bps)
+	p, err := s.Compile(scenario.CompileConfig{Duration: 10 * time.Second})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
 	}
-	if _, err := BuildTrace("", filepath.Join(dir, "missing.csv"), 0, 0, 0, 0, 0); err == nil {
-		t.Error("missing file accepted")
+	want := []trace.Point{{At: 0, Bps: 2e6}, {At: time.Second, Bps: 1e6}}
+	if got := p.Trace.Points(); !slices.Equal(got, want) {
+		t.Errorf("points = %v, want %v", got, want)
+	}
+	if p.Duration != 10*time.Second {
+		t.Errorf("Duration = %v, want the compile duration", p.Duration)
+	}
+	if _, err := ResolveScenario(filepath.Join(dir, "missing.csv")); err == nil {
+		t.Error("missing csv accepted")
 	}
 }
 

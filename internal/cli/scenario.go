@@ -3,20 +3,31 @@ package cli
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
-	"rtcadapt/internal/netem"
 	"rtcadapt/internal/scenario"
-	"rtcadapt/internal/session"
 )
 
 // ResolveScenario maps a -scenario flag value to a scenario: a preset
-// name from the registry, or a path to a YAML/JSON scenario file (any
-// value containing a path separator or a .yaml/.yml/.json suffix, or
-// naming an existing file, is treated as a file).
+// name from the registry, a measured "seconds,bps" capacity trace (a
+// .csv path, read as a trace_csv scenario), or a path to a YAML/JSON
+// scenario file (any other value containing a path separator or a
+// .yaml/.yml/.json suffix, or naming an existing file, is treated as a
+// scenario file).
 func ResolveScenario(arg string) (scenario.Scenario, error) {
 	if arg == "" {
 		return scenario.Scenario{}, fmt.Errorf("empty scenario")
+	}
+	if strings.HasSuffix(arg, ".csv") {
+		if _, err := os.Stat(arg); err != nil {
+			return scenario.Scenario{}, fmt.Errorf("scenario: %w", err)
+		}
+		s := scenario.Scenario{Name: filepath.Base(arg), TraceCSV: arg}
+		if err := s.Validate(); err != nil {
+			return scenario.Scenario{}, err
+		}
+		return s, nil
 	}
 	if looksLikeFile(arg) {
 		return scenario.ParseFile(arg)
@@ -62,27 +73,4 @@ func ResolveScenarios(args string) ([]scenario.Scenario, error) {
 		return nil, fmt.Errorf("no scenarios in %q", args)
 	}
 	return out, nil
-}
-
-// ApplyScenario writes a compiled scenario path into a session config:
-// the capacity trace and every link impairment the scenario pins. NACK
-// only ever turns on (a -nack flag the user set stays set), and the
-// session duration is set from the path only when the caller left it
-// zero and the scenario has a natural span, so an explicit -duration
-// flag still wins. A burst-loss rate lowers to a Gilbert-Elliott
-// process with the suite's standard mean burst length of 8 packets.
-func ApplyScenario(cfg *session.Config, p scenario.Path) {
-	cfg.Trace = p.Trace
-	cfg.LossProb = p.Loss
-	cfg.PropDelay = p.PropDelay
-	cfg.QueueLimitBytes = p.Queue
-	if p.NACK {
-		cfg.NACK = true
-	}
-	if p.BurstLoss > 0 {
-		cfg.BurstLoss = netem.NewGilbertElliott(8, p.BurstLoss)
-	}
-	if cfg.Duration == 0 && p.Duration > 0 {
-		cfg.Duration = p.Duration
-	}
 }

@@ -7,8 +7,8 @@ import (
 	"rtcadapt/internal/cc"
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 	"rtcadapt/internal/video"
 )
 
@@ -71,10 +71,10 @@ func (r *Runner) Figure8(seeds []int64) []Figure8Row {
 			Duration:    30 * time.Second,
 			Seed:        c.seed,
 			Content:     video.TalkingHead,
-			Trace:       trace.StepDrop(2.5e6, 0.8e6, dropAt),
 			InitialRate: 1e6,
 			Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
 		}
+		cfg.ApplyPath(mustCompile(scenario.MustPreset("standard"), scenario.CompileConfig{}))
 		if e.mk != nil {
 			mk := e.mk
 			cfg.NewEstimator = func(capacity cc.CapacityFunc) cc.Estimator { return mk(capacity) }

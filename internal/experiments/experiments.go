@@ -16,9 +16,9 @@ import (
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/plot"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/stats"
-	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
 	"rtcadapt/internal/video"
 )
@@ -99,18 +99,28 @@ func Kinds() []ControllerKind {
 	return []ControllerKind{KindNative, KindResetOnly, KindAdaptive, KindAdaptiveOracle}
 }
 
-// buildConfig assembles a session config for a scenario, controller kind
-// and seed. adaptiveCfg is used for the adaptive kinds (ablations override
-// it).
-func buildConfig(tr *trace.Trace, content video.Class, kind ControllerKind,
+// mustCompile compiles one cell's scenario. Experiment scenarios are
+// literals and presets, so a compile error is a programming error.
+func mustCompile(s scenario.Scenario, cfg scenario.CompileConfig) scenario.Path {
+	p, err := s.Compile(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: scenario %q: %v", s.Name, err))
+	}
+	return p
+}
+
+// buildConfig assembles a session config for a compiled path, controller
+// kind and seed. adaptiveCfg is used for the adaptive kinds (ablations
+// override it).
+func buildConfig(p scenario.Path, content video.Class, kind ControllerKind,
 	seed int64, dur time.Duration, adaptiveCfg core.AdaptiveConfig) session.Config {
 	cfg := session.Config{
 		Duration:    dur,
 		Seed:        seed,
 		Content:     content,
-		Trace:       tr,
 		InitialRate: 1e6,
 	}
+	cfg.ApplyPath(p)
 	attachController(&cfg, kind, adaptiveCfg)
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("experiments: bad scenario config: %v", err))
@@ -139,10 +149,15 @@ func attachController(cfg *session.Config, kind ControllerKind, adaptiveCfg core
 	}
 }
 
+// path compiles the drop as a scenario: Before until DropAt, then After
+// for the 20 s the drop sessions run past it.
+func (s DropScenario) path() scenario.Path {
+	return mustCompile(scenario.StepDrop(s.Before, s.After, s.DropAt, 20*time.Second), scenario.CompileConfig{})
+}
+
 // runDrop executes one drop scenario under one controller kind.
 func (r *Runner) runDrop(sc DropScenario, kind ControllerKind, seed int64) session.Result {
-	tr := trace.StepDrop(sc.Before, sc.After, sc.DropAt)
-	return session.Run(buildConfig(tr, sc.Content, kind, seed, sc.DropAt+20*time.Second, core.AdaptiveConfig{}))
+	return session.Run(buildConfig(sc.path(), sc.Content, kind, seed, sc.DropAt+20*time.Second, core.AdaptiveConfig{}))
 }
 
 // PostDropWindow is the analysis window after the drop used across

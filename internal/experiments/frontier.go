@@ -7,7 +7,6 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
-	"rtcadapt/internal/netem"
 	"rtcadapt/internal/plot"
 	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
@@ -22,32 +21,6 @@ import (
 // related-work comparison — is that deep-and-long drops favor the
 // adaptive scheme strongly while shallow-and-short drops are where the
 // margin should vanish.
-
-// buildPathConfig assembles a session config for a compiled scenario
-// path. A burst-loss rate lowers to a Gilbert-Elliott process with the
-// suite's standard mean burst length of 8 packets.
-func buildPathConfig(p scenario.Path, content video.Class, kind ControllerKind,
-	seed int64, dur time.Duration) session.Config {
-	cfg := session.Config{
-		Duration:        dur,
-		Seed:            seed,
-		Content:         content,
-		Trace:           p.Trace,
-		PropDelay:       p.PropDelay,
-		LossProb:        p.Loss,
-		QueueLimitBytes: p.Queue,
-		NACK:            p.NACK,
-		InitialRate:     1e6,
-	}
-	if p.BurstLoss > 0 {
-		cfg.BurstLoss = netem.NewGilbertElliott(8, p.BurstLoss)
-	}
-	attachController(&cfg, kind, core.AdaptiveConfig{})
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("experiments: bad scenario config: %v", err))
-	}
-	return cfg
-}
 
 // FrontierCell is one grid cell's comparison, averaged over the seeds.
 // The analysis window is [DropAt, drop end + PostDropWindow): the whole
@@ -106,11 +79,8 @@ func (r *Runner) Frontier(g scenario.Grid, seeds []int64) (FrontierResult, error
 		return fmt.Sprintf("frontier %s %s seed=%d", c.point.Scenario.Name, c.kind, c.seed)
 	}, func(i int) float64 {
 		c := cells[i]
-		path, err := c.point.Scenario.Compile(scenario.CompileConfig{Seed: c.seed})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: frontier cell %q: %v", c.point.Scenario.Name, err))
-		}
-		res := session.Run(buildPathConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration))
+		path := mustCompile(c.point.Scenario, scenario.CompileConfig{Seed: c.seed})
+		res := session.Run(buildConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration, core.AdaptiveConfig{}))
 		dropAt := c.point.Scenario.Phases[0].Duration
 		windowEnd := dropAt + c.point.DropDur + PostDropWindow
 		return metrics.Summarize(res.Records, dropAt, windowEnd, res.FrameInterval).P95NetDelay.Seconds()
@@ -277,11 +247,8 @@ func (r *Runner) ScenarioTable(scenarios []scenario.Scenario, kinds []Controller
 		return fmt.Sprintf("scenario %s %s seed=%d", c.sc.Name, c.kind, c.seed)
 	}, func(i int) metrics.Report {
 		c := cells[i]
-		path, err := c.sc.Compile(scenario.CompileConfig{Seed: c.seed, Duration: dur})
-		if err != nil {
-			panic(fmt.Sprintf("experiments: scenario %q: %v", c.sc.Name, err))
-		}
-		res := session.Run(buildPathConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration))
+		path := mustCompile(c.sc, scenario.CompileConfig{Seed: c.seed, Duration: dur})
+		res := session.Run(buildConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration, core.AdaptiveConfig{}))
 		return metrics.SummarizeAll(res.Records, res.FrameInterval)
 	})
 

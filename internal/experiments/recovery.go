@@ -6,8 +6,8 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
 	"rtcadapt/internal/video"
 )
@@ -40,7 +40,9 @@ func (r *Runner) Figure10(seeds []int64) []Figure10Row {
 	if len(seeds) == 0 {
 		seeds = DefaultSeeds()
 	}
-	dropAt, restoreAt := 10*time.Second, 20*time.Second
+	// The flash-crowd preset drops 2.5 -> 0.8 Mbps at 10 s and restores
+	// 2.5 Mbps at 20 s.
+	restoreAt := 20 * time.Second
 	dur := 45 * time.Second
 	kinds := []ControllerKind{KindNative, KindAdaptive}
 	probings := []bool{false, true}
@@ -67,10 +69,10 @@ func (r *Runner) Figure10(seeds []int64) []Figure10Row {
 			Duration:    dur,
 			Seed:        c.seed,
 			Content:     video.TalkingHead,
-			Trace:       trace.StepDropRecover(2.5e6, 0.8e6, dropAt, restoreAt),
 			InitialRate: 1e6,
 			Probing:     c.probing,
 		}
+		cfg.ApplyPath(mustCompile(scenario.MustPreset("flash-crowd"), scenario.CompileConfig{}))
 		switch c.kind {
 		case KindNative:
 			cfg.Controller = core.NewNativeRC()

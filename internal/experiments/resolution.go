@@ -6,8 +6,8 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
 	"rtcadapt/internal/video"
 )
@@ -73,14 +73,15 @@ func (r *Runner) Figure6(seeds []int64) []Figure6Row {
 	}, func(i int) sample {
 		c := cells[i]
 		ctrl := core.NewAdaptive(core.AdaptiveConfig{EnableResolution: c.useRes})
-		res := session.Run(session.Config{
+		cfg := session.Config{
 			Duration:    dropAt + 20*time.Second,
 			Seed:        c.seed,
 			Content:     video.Gaming,
-			Trace:       trace.StepDrop(2.5e6, units.BitsPerSec(c.after), dropAt),
 			InitialRate: 1e6,
 			Controller:  ctrl,
-		})
+		}
+		cfg.ApplyPath(mustCompile(scenario.StepDrop(2.5e6, units.BitsPerSec(c.after), dropAt, 20*time.Second), scenario.CompileConfig{}))
+		res := session.Run(cfg)
 		post := metrics.Summarize(res.Records, dropAt, dropAt+10*time.Second, res.FrameInterval)
 		out := sample{
 			ssim:     post.MeanSSIM,

@@ -6,8 +6,8 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
-	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
 	"rtcadapt/internal/video"
 )
@@ -260,8 +260,7 @@ func (r *Runner) Table3(seeds []int64) []Table3Row {
 		return fmt.Sprintf("table3 %q seed=%d", variants[c.variant].name, c.seed)
 	}, func(i int) sample {
 		c := cells[i]
-		tr := trace.StepDrop(sc.Before, sc.After, sc.DropAt)
-		res := session.Run(buildConfig(tr, sc.Content, KindAdaptive, c.seed,
+		res := session.Run(buildConfig(sc.path(), sc.Content, KindAdaptive, c.seed,
 			sc.DropAt+20*time.Second, variants[c.variant].cfg))
 		return sample{p95: postDrop(sc, res).P95NetDelay.Seconds(), ssim: res.Report.MeanSSIM}
 	})
@@ -326,23 +325,21 @@ func Figure4(seeds []int64) []Figure4Row { return (&Runner{}).Figure4(seeds) }
 
 // Figure4 runs 60 s sessions on synthetic LTE and WiFi traces across all
 // content classes and controllers. Cells are (trace, content, controller,
-// seed); each cell generates its own private trace so concurrent sessions
-// never share one.
+// seed); each cell compiles its own private path from the model scenario
+// so concurrent sessions never share one.
 func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 	if len(seeds) == 0 {
 		seeds = DefaultSeeds()
 	}
+	// Each model draws its capacity from the session seed plus its own
+	// offset, so the LTE and WiFi traces of one seed are independent.
 	type traceGen struct {
-		name string
-		gen  func(seed int64) *trace.Trace
+		sc         scenario.Scenario
+		seedOffset int64
 	}
 	gens := []traceGen{
-		{"lte", func(seed int64) *trace.Trace {
-			return trace.LTE(seed+1000, 60*time.Second, trace.LTEConfig{Mean: 2.5e6, FadeProb: 0.02})
-		}},
-		{"wifi", func(seed int64) *trace.Trace {
-			return trace.WiFi(seed+2000, 60*time.Second, trace.WiFiConfig{Mean: 4e6})
-		}},
+		{scenario.Scenario{Name: "lte", Model: &scenario.Model{Kind: "lte", Mean: 2.5e6, FadeProb: 0.02}}, 1000},
+		{scenario.Scenario{Name: "wifi", Model: &scenario.Model{Kind: "wifi", Mean: 4e6}}, 2000},
 	}
 	contents := []video.Class{video.TalkingHead, video.ScreenShare, video.Gaming, video.Sports}
 	kinds := []ControllerKind{KindNative, KindResetOnly, KindAdaptive}
@@ -365,11 +362,11 @@ func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 	type sample struct{ p95, ssim, freeze, mos float64 }
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
-		return fmt.Sprintf("figure4 %s/%s %s seed=%d", c.gen.name, c.content, c.kind, c.seed)
+		return fmt.Sprintf("figure4 %s/%s %s seed=%d", c.gen.sc.Name, c.content, c.kind, c.seed)
 	}, func(i int) sample {
 		c := cells[i]
-		res := session.Run(buildConfig(c.gen.gen(c.seed), c.content, c.kind, c.seed,
-			60*time.Second, core.AdaptiveConfig{}))
+		path := mustCompile(c.gen.sc, scenario.CompileConfig{Seed: c.seed + c.gen.seedOffset, Duration: 60 * time.Second})
+		res := session.Run(buildConfig(path, c.content, c.kind, c.seed, 60*time.Second, core.AdaptiveConfig{}))
 		return sample{
 			p95:    res.Report.P95NetDelay.Seconds(),
 			ssim:   res.Report.MeanSSIM,
@@ -394,7 +391,7 @@ func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 				n := float64(len(seeds))
 				p95, ssim, freeze, mos = p95/n, ssim/n, freeze/n, mos/n
 				rows = append(rows, Figure4Row{
-					TraceName:  g.name,
+					TraceName:  g.sc.Name,
 					Content:    content,
 					Kind:       kind,
 					P95:        time.Duration(p95 * float64(time.Second)),

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rtcadapt/internal/core"
-	"rtcadapt/internal/netem"
 	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/video"
@@ -69,30 +68,18 @@ func PopulationBuild(pop scenario.Population, dur time.Duration) (func(index int
 		if err != nil {
 			panic(fmt.Sprintf("fleet: scenario %q: %v", member.Name, err))
 		}
-		return pathConfig(path, dur, seed, fleetContent(index))
+		// The paper's adaptive controller over the default GCC estimator.
+		cfg := session.Config{
+			Duration:    dur,
+			Seed:        seed,
+			Content:     fleetContent(index),
+			InitialRate: 1e6,
+			Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
+		}
+		cfg.ApplyPath(path)
+		if err := cfg.Validate(); err != nil {
+			panic(fmt.Sprintf("fleet: bad scenario config: %v", err))
+		}
+		return cfg
 	}, nil
-}
-
-// pathConfig assembles the common session shape over a compiled path:
-// the paper's adaptive controller over the default GCC estimator.
-func pathConfig(p scenario.Path, dur time.Duration, seed int64, content video.Class) session.Config {
-	cfg := session.Config{
-		Duration:        dur,
-		Seed:            seed,
-		Content:         content,
-		Trace:           p.Trace,
-		LossProb:        p.Loss,
-		PropDelay:       p.PropDelay,
-		QueueLimitBytes: p.Queue,
-		NACK:            p.NACK,
-		InitialRate:     1e6,
-		Controller:      core.NewAdaptive(core.AdaptiveConfig{}),
-	}
-	if p.BurstLoss > 0 {
-		cfg.BurstLoss = netem.NewGilbertElliott(8, p.BurstLoss)
-	}
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("fleet: bad scenario config: %v", err))
-	}
-	return cfg
 }

@@ -18,7 +18,7 @@ import (
 // left in its rings.
 func TestLinkInitMatchesFresh(t *testing.T) {
 	for _, cfg := range []Config{
-		{Trace: trace.StepDrop(2e6, 5e5, 300*time.Millisecond), LossProb: 0.1, JitterAmp: 4 * time.Millisecond, Seed: 7},
+		{Trace: trace.MustNew("drop", trace.Point{At: 0, Bps: 2e6}, trace.Point{At: 300 * time.Millisecond, Bps: 5e5}), LossProb: 0.1, JitterAmp: 4 * time.Millisecond, Seed: 7},
 		{Trace: trace.Constant(1e6), LossProb: 0.05, Seed: 8},
 	} {
 		old := simtime.NewScheduler()

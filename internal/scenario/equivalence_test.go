@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -8,11 +9,65 @@ import (
 	"rtcadapt/internal/units"
 )
 
-// These tests pin the tentpole equivalence claim: every hardcoded
-// internal/trace scenario constructor has a declarative preset that
-// compiles to the byte-identical trace (CSV form — the full observable
-// content of a trace). The constructors stay as conveniences; the
-// presets are the canonical definitions.
+// These tests pin the presets against the trace constructors the
+// experiments were first written with: every one has a declarative
+// preset that compiles to exactly the same breakpoints (the full
+// observable content of a trace). The constructors below are those
+// constructors, kept verbatim as a test-only reference model: the
+// scenario corpus is the only production description of a path, and a
+// bug in the phase lowering cannot hide in code it shares with them.
+
+// stepDrop is the paper's motivating scenario: capacity before until
+// dropAt, then capacity after.
+func stepDrop(before, after units.BitsPerSec, dropAt time.Duration) *trace.Trace {
+	return trace.MustNew(
+		fmt.Sprintf("drop-%.1f-to-%.1fMbps", before.Mbps(), after.Mbps()),
+		trace.Point{At: 0, Bps: before},
+		trace.Point{At: dropAt, Bps: after},
+	)
+}
+
+// stepDropRecover is stepDrop with capacity restored to before at
+// recoverAt.
+func stepDropRecover(before, after units.BitsPerSec, dropAt, recoverAt time.Duration) *trace.Trace {
+	if recoverAt <= dropAt {
+		panic("trace: recoverAt must follow dropAt")
+	}
+	return trace.MustNew(
+		fmt.Sprintf("droprec-%.1f-to-%.1fMbps", before.Mbps(), after.Mbps()),
+		trace.Point{At: 0, Bps: before},
+		trace.Point{At: dropAt, Bps: after},
+		trace.Point{At: recoverAt, Bps: before},
+	)
+}
+
+// staircase steps through the given rates, holding each for hold.
+func staircase(hold time.Duration, rates ...units.BitsPerSec) *trace.Trace {
+	if len(rates) == 0 {
+		panic("trace: Staircase needs at least one rate")
+	}
+	ps := make([]trace.Point, len(rates))
+	for i, r := range rates {
+		ps[i] = trace.Point{At: time.Duration(i) * hold, Bps: r}
+	}
+	return trace.MustNew("staircase", ps...)
+}
+
+// oscillating is a square wave alternating between hi and lo with the
+// given half-period, for the given duration.
+func oscillating(hi, lo units.BitsPerSec, halfPeriod, dur time.Duration) *trace.Trace {
+	var ps []trace.Point
+	atHi := true
+	for at := time.Duration(0); at < dur; at += halfPeriod {
+		level := lo
+		if atHi {
+			level = hi
+		}
+		ps = append(ps, trace.Point{At: at, Bps: level})
+		atHi = !atHi
+	}
+	return trace.MustNew("oscillating", ps...)
+}
 
 func TestPresetTraceEquivalence(t *testing.T) {
 	const (
@@ -21,10 +76,10 @@ func TestPresetTraceEquivalence(t *testing.T) {
 	)
 	legacy := map[string]*trace.Trace{
 		"constant":    trace.Constant(2.5e6),
-		"standard":    trace.StepDrop(2.5e6, 0.8e6, 10*time.Second),
-		"flash-crowd": trace.StepDropRecover(2.5e6, 0.8e6, 10*time.Second, 20*time.Second),
-		"staircase":   trace.Staircase(5*time.Second, 2.5e6, 2.0e6, 1.5e6, 1.0e6, 0.5e6),
-		"oscillating": trace.Oscillating(2.5e6, 0.8e6, 2*time.Second, 40*time.Second),
+		"standard":    stepDrop(2.5e6, 0.8e6, 10*time.Second),
+		"flash-crowd": stepDropRecover(2.5e6, 0.8e6, 10*time.Second, 20*time.Second),
+		"staircase":   staircase(5*time.Second, 2.5e6, 2.0e6, 1.5e6, 1.0e6, 0.5e6),
+		"oscillating": oscillating(2.5e6, 0.8e6, 2*time.Second, 40*time.Second),
 		"lte":         trace.LTE(seed, dur, trace.LTEConfig{}),
 		"wifi":        trace.WiFi(seed, dur, trace.WiFiConfig{}),
 		"randomwalk":  trace.RandomWalk(seed, dur, 200*time.Millisecond, 2.5e6, 0.5e6, 5e6),
@@ -40,10 +95,9 @@ func TestPresetTraceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			got, wantCSV := traceCSV(t, p.Trace), traceCSV(t, want)
-			if got != wantCSV {
-				t.Errorf("preset %q is not byte-identical to its trace constructor:\ngot:\n%s\nwant:\n%s",
-					name, got, wantCSV)
+			if !samePoints(p.Trace, want) {
+				t.Errorf("preset %q differs from its reference constructor:\ngot:  %v\nwant: %v",
+					name, p.Trace.Points(), want.Points())
 			}
 		})
 	}
@@ -71,7 +125,7 @@ func TestFleetPopulationEquivalence(t *testing.T) {
 		switch name {
 		case "drop":
 			d := legacyDrops[index%len(legacyDrops)]
-			return trace.StepDrop(d[0], d[1], dur/3)
+			return stepDrop(d[0], d[1], dur/3)
 		case "lte":
 			return trace.LTE(seed, dur+5*time.Second, trace.LTEConfig{Mean: 2.5e6})
 		case "wifi":
@@ -80,7 +134,7 @@ func TestFleetPopulationEquivalence(t *testing.T) {
 			switch index % 3 {
 			case 0:
 				d := legacyDrops[(index/3)%len(legacyDrops)]
-				return trace.StepDrop(d[0], d[1], dur/3)
+				return stepDrop(d[0], d[1], dur/3)
 			case 1:
 				return trace.LTE(seed, dur+5*time.Second, trace.LTEConfig{Mean: 2.5e6})
 			default:
@@ -106,7 +160,7 @@ func TestFleetPopulationEquivalence(t *testing.T) {
 					t.Fatalf("index %d: Compile: %v", index, err)
 				}
 				want := legacy(name, index, seed)
-				if traceCSV(t, p.Trace) != traceCSV(t, want) {
+				if !samePoints(p.Trace, want) {
 					t.Errorf("index %d: trace differs from the legacy fleet switch", index)
 				}
 				wantLoss, wantNACK := 0.0, false

@@ -25,6 +25,7 @@ func FuzzParseScenario(f *testing.F) {
 	f.Add([]byte(`{"name": "x", "phases": [{"duration": "1s", "capacity": 1000}]}`))
 	f.Add([]byte("name: x\nphases:\n- duration: 1s\n  capacity: 1Mbps\n"))
 	f.Add([]byte("name: 'quo''ted'\nmodel:\n  kind: lte # cell\n"))
+	f.Add([]byte("name: fig4\nmodel:\n  kind: lte\n  mean: 2.5Mbps\n  fade_prob: 0.02\n"))
 	f.Add([]byte("a:\n  b:\n    - c\n    -\n  d: \"e\\n\"\n"))
 	f.Add([]byte("-\n- -\n"))
 	f.Add([]byte("\t"))

@@ -272,11 +272,12 @@ func decodeModel(n node) (Model, error) {
 		Mean:     decodeField(d, "mean", parseRate),
 		Duration: decodeField(d, "duration", parseDur),
 		Step:     decodeField(d, "step", parseDur),
+		FadeProb: decodeField(d, "fade_prob", parseProb),
 		Start:    decodeField(d, "start", parseRate),
 		Lo:       decodeField(d, "lo", parseRate),
 		Hi:       decodeField(d, "hi", parseRate),
 	}
-	if err := d.finish("kind", "mean", "duration", "step", "start", "lo", "hi"); err != nil {
+	if err := d.finish("kind", "mean", "duration", "step", "fade_prob", "start", "lo", "hi"); err != nil {
 		return Model{}, err
 	}
 	return m, nil
@@ -385,6 +386,9 @@ func Marshal(s Scenario) []byte {
 		}
 		if m.Step != 0 {
 			fmt.Fprintf(&b, "  step: %s\n", m.Step)
+		}
+		if m.FadeProb != 0 {
+			fmt.Fprintf(&b, "  fade_prob: %s\n", formatFloat(m.FadeProb))
 		}
 		if m.Start != 0 {
 			fmt.Fprintf(&b, "  start: %s\n", formatRate(m.Start))

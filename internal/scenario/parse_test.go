@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rtcadapt/internal/trace"
 )
 
 func TestParseYAML(t *testing.T) {
@@ -71,6 +73,39 @@ model:
 	if s.Model == nil || s.Model.Kind != "lte" || s.Model.Mean != 3e6 ||
 		s.Model.Duration != 60*time.Second || s.Model.Step != 200*time.Millisecond {
 		t.Fatalf("decoded model %+v", s.Model)
+	}
+}
+
+// TestModelFadeProbRoundTrip pins the fade_prob key: it parses, marshals
+// back to the same document, and lowers to the lte generator's fade
+// probability.
+func TestModelFadeProbRoundTrip(t *testing.T) {
+	doc := `name: fig4-lte
+model:
+  kind: lte
+  mean: 2.5Mbps
+  fade_prob: 0.02
+`
+	s, err := Parse([]byte(doc))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if s.Model == nil || s.Model.FadeProb != 0.02 {
+		t.Fatalf("decoded model %+v", s.Model)
+	}
+	if out := string(Marshal(s)); out != doc {
+		t.Errorf("marshal round trip:\n%s\nwant:\n%s", out, doc)
+	}
+	p, err := s.Compile(CompileConfig{Seed: 3, Duration: 60 * time.Second})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	want := trace.LTE(3, 60*time.Second, trace.LTEConfig{Mean: 2.5e6, FadeProb: 0.02})
+	if !samePoints(p.Trace, want) {
+		t.Error("fade_prob did not reach the lte generator")
+	}
+	if _, err := Parse([]byte("name: w\nmodel:\n  kind: wifi\n  fade_prob: 0.02\n")); err == nil {
+		t.Error("Parse accepted fade_prob on a wifi model")
 	}
 }
 

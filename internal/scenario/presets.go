@@ -7,11 +7,12 @@ import (
 	"rtcadapt/internal/units"
 )
 
-// The preset registry: every hardcoded capacity scenario the repo's
-// experiments use, re-expressed declaratively. Each preset compiles to
-// the byte-identical trace of the internal/trace constructor it
-// replaces (pinned by TestPresetTraceEquivalence), so CLIs can move to
-// the registry without changing a single output byte.
+// The preset registry: every named capacity scenario the repo's
+// experiments and commands use, in one declarative table. Each preset
+// compiles to the byte-identical trace of the constructor it replaced
+// (pinned by TestPresetTraceEquivalence against test-only reference
+// copies of those constructors), so moving a caller onto the registry
+// changes no output byte.
 //
 // The registry is a pure function, not a package-level map — the lint
 // suite forbids package-level mutable state, and fresh values keep
@@ -45,13 +46,13 @@ func PresetNames() []string {
 func Preset(name string) (Scenario, error) {
 	switch name {
 	case "constant":
-		// trace.Constant(2.5e6): a fixed-capacity control path.
+		// A fixed 2.5 Mbps control path.
 		return MustNew(name,
 			Phase{Duration: standardDropAt + standardTail, Capacity: standardBefore},
 		), nil
 	case "standard":
-		// trace.StepDrop(2.5e6, 0.8e6, 10s): the paper's Figure 1 drop,
-		// held for the 20 s post-drop analysis window.
+		// The paper's Figure 1 drop, 2.5 -> 0.8 Mbps at 10 s, held for
+		// the 20 s post-drop analysis window.
 		return MustNew(name,
 			Phase{Duration: standardDropAt, Capacity: standardBefore},
 			Phase{Duration: standardTail, Capacity: standardAfter},
@@ -66,16 +67,15 @@ func Preset(name string) (Scenario, error) {
 			Phase{Duration: standardDropAt, Capacity: standardAfter},
 		), nil
 	case "flash-crowd":
-		// trace.StepDropRecover(2.5e6, 0.8e6, 10s, 20s): competing
-		// traffic arrives and departs — capacity dips, then returns.
+		// 2.5 -> 0.8 Mbps at 10 s, restored at 20 s: competing traffic
+		// arrives and departs — capacity dips, then returns.
 		return MustNew(name,
 			Phase{Duration: standardDropAt, Capacity: standardBefore},
 			Phase{Duration: standardDropAt, Capacity: standardAfter},
 			Phase{Duration: standardDropAt, Capacity: standardBefore},
 		), nil
 	case "staircase":
-		// trace.Staircase(5s, 2.5 .. 0.5 Mbps): gradual decay in five
-		// steps.
+		// 2.5 .. 0.5 Mbps, 5 s per step: gradual decay in five steps.
 		return MustNew(name,
 			Phase{Duration: 5 * time.Second, Capacity: 2.5e6},
 			Phase{Duration: 5 * time.Second, Capacity: 2.0e6},
@@ -84,19 +84,18 @@ func Preset(name string) (Scenario, error) {
 			Phase{Duration: 5 * time.Second, Capacity: 0.5e6},
 		), nil
 	case "oscillating":
-		// trace.Oscillating(2.5e6, 0.8e6, 2s, 40s): a square wave that
-		// punishes slow-converging controllers in both directions.
+		// 2.5 / 0.8 Mbps with a 2 s half-period for 40 s: a square wave
+		// that punishes slow-converging controllers in both directions.
 		return oscillatingPreset(name, 2.5e6, 0.8e6, 2*time.Second, 40*time.Second), nil
 	case "lte":
-		// trace.LTE(seed, dur, LTEConfig{}): AR(1) cellular capacity
-		// with deep fades, at the generator's default 3 Mbps mean.
+		// AR(1) cellular capacity with deep fades, at the generator's
+		// default 3 Mbps mean.
 		return Scenario{Name: name, Model: &Model{Kind: "lte"}}, nil
 	case "wifi":
-		// trace.WiFi(seed, dur, WiFiConfig{}): contention-driven WiFi
-		// capacity at the default 8 Mbps mean.
+		// Contention-driven WiFi capacity at the default 8 Mbps mean.
 		return Scenario{Name: name, Model: &Model{Kind: "wifi"}}, nil
 	case "randomwalk":
-		// trace.RandomWalk(seed, dur, 200ms, 2.5e6, 0.5e6, 5e6).
+		// A 200 ms-step random walk from 2.5 Mbps in [0.5, 5] Mbps.
 		return Scenario{Name: name, Model: &Model{Kind: "randomwalk"}}, nil
 	}
 	return Scenario{}, fmt.Errorf("scenario: unknown preset %q (have %v)", name, PresetNames())

@@ -14,11 +14,15 @@
 //
 // Compile resolves the scenario against a seed and duration into a Path:
 // an immutable *trace.Trace plus the scalar link impairments (loss
-// probability, burst-loss rate, propagation delay, queue bound) that map
-// onto netem.Config / session.Config fields. The named presets in
-// presets.go reproduce every hardcoded internal/trace constructor
-// byte-identically (pinned by equivalence tests), and the fleet
-// populations re-express cmd/rtcfleet's scenario mix declaratively.
+// probability, burst-loss rate, propagation delay, queue bound) that
+// session.Config.ApplyPath lowers onto a session. Scenarios are the
+// repository's only description of a network path: every experiment,
+// command and fleet population builds its path here. The named presets
+// in presets.go reproduce the step-drop, staircase and square-wave
+// traces the experiments were first written against byte-identically
+// (pinned by equivalence tests against test-only reference
+// constructors), and the fleet populations re-express cmd/rtcfleet's
+// scenario mix declaratively.
 //
 // The current emulator models loss and RTT as path constants: phases may
 // declare them (the file format is forward-compatible), but Validate
@@ -72,6 +76,10 @@ type Model struct {
 	// Step is the sampling granularity; zero uses the generator
 	// default.
 	Step time.Duration
+	// FadeProb is the lte generator's per-step probability of entering
+	// a deep fade; zero uses the generator default (0.01). Only the lte
+	// kind accepts it.
+	FadeProb float64
 	// Start, Lo, Hi parameterize the randomwalk generator (start level
 	// and clamp bounds); zeros use 2.5 Mbps in [0.5, 5] Mbps.
 	Start, Lo, Hi units.BitsPerSec
@@ -93,7 +101,7 @@ type Scenario struct {
 	// Model is the seeded synthetic capacity generator.
 	Model *Model
 	// TraceCSV is the path of an externally captured "seconds,bps"
-	// capacity trace (as written by trace.WriteCSV).
+	// capacity trace (see trace.ReadCSV).
 	TraceCSV string
 
 	// Loss is the scenario-wide random loss probability. Phases may
@@ -268,6 +276,12 @@ func (m *Model) validate(scenarioName string) error {
 	if m.Step < 0 {
 		return fmt.Errorf("scenario %q: model step %v is negative", scenarioName, m.Step)
 	}
+	if err := probability("fade_prob", m.FadeProb); err != nil {
+		return fmt.Errorf("scenario %q: model %w", scenarioName, err)
+	}
+	if m.FadeProb != 0 && m.Kind != "lte" {
+		return fmt.Errorf("scenario %q: fade_prob applies to the lte model only, not %q", scenarioName, m.Kind)
+	}
 	if m.Kind == "randomwalk" {
 		start, lo, hi := m.walkBounds()
 		if !(lo > 0) || !(hi > lo) || start < lo || start > hi {
@@ -294,7 +308,8 @@ func (m *Model) walkBounds() (start, lo, hi units.BitsPerSec) {
 
 // TotalDuration returns the scenario's natural span: the phase sum for
 // phased scenarios, the model duration for models (zero when the model
-// defers to Compile), and zero for CSV traces (the file decides).
+// defers to Compile), and zero for CSV traces (Compile's duration
+// decides).
 func (s *Scenario) TotalDuration() time.Duration {
 	var total time.Duration
 	for _, ph := range s.Phases {
@@ -316,7 +331,7 @@ type CompileConfig struct {
 	// scenarios.
 	Seed int64
 	// Duration is the span model scenarios generate when the model
-	// declares none of its own.
+	// declares none of its own, and the span of a CSV-backed path.
 	Duration time.Duration
 }
 
@@ -401,8 +416,9 @@ func (s *Scenario) Compile(cfg CompileConfig) (Path, error) {
 			return Path{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 		p.Trace = tr
-		pts := tr.Points()
-		p.Duration = pts[len(pts)-1].At
+		// A CSV row means "from here on": the last rate holds for the
+		// rest of the session, so the file pins no span of its own.
+		p.Duration = cfg.Duration
 	}
 	return p, nil
 }
@@ -426,7 +442,7 @@ func (s *Scenario) phasedTrace() (*trace.Trace, error) {
 func (m *Model) trace(seed int64, dur time.Duration) *trace.Trace {
 	switch m.Kind {
 	case "lte":
-		return trace.LTE(seed, dur, trace.LTEConfig{Mean: float64(m.Mean), Step: m.Step})
+		return trace.LTE(seed, dur, trace.LTEConfig{Mean: float64(m.Mean), Step: m.Step, FadeProb: m.FadeProb})
 	case "wifi":
 		return trace.WiFi(seed, dur, trace.WiFiConfig{Mean: float64(m.Mean), Step: m.Step})
 	case "randomwalk":

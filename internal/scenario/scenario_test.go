@@ -1,9 +1,9 @@
 package scenario
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,16 +12,11 @@ import (
 	"rtcadapt/internal/units"
 )
 
-// traceCSV renders a trace's canonical CSV form — the byte-equivalence
-// notion the preset tests pin (trace names are labels, not semantics,
-// and do not appear in the CSV).
-func traceCSV(t *testing.T, tr *trace.Trace) string {
-	t.Helper()
-	var b bytes.Buffer
-	if err := tr.WriteCSV(&b); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	return b.String()
+// samePoints reports whether two traces have exactly the same
+// breakpoints — the equivalence notion the preset tests pin (trace names
+// are labels, not semantics).
+func samePoints(a, b *trace.Trace) bool {
+	return slices.Equal(a.Points(), b.Points())
 }
 
 func TestValidateRejects(t *testing.T) {
@@ -45,6 +40,8 @@ func TestValidateRejects(t *testing.T) {
 		{"loss above one", phased(func(s *Scenario) { s.Loss = 1.5 }), "outside [0, 1]"},
 		{"negative rtt", phased(func(s *Scenario) { s.RTT = -time.Second }), "negative"},
 		{"bad model kind", Scenario{Name: "x", Model: &Model{Kind: "5g"}}, "unknown model kind"},
+		{"fade prob above one", Scenario{Name: "x", Model: &Model{Kind: "lte", FadeProb: 1.5}}, "outside [0, 1]"},
+		{"fade prob on wifi", Scenario{Name: "x", Model: &Model{Kind: "wifi", FadeProb: 0.02}}, "lte model only"},
 		{"phase loss disagreement", Scenario{Name: "x", Phases: []Phase{
 			{Duration: time.Second, Capacity: 1e6, Loss: 0.01},
 			{Duration: time.Second, Capacity: 1e6, Loss: 0.02},
@@ -100,8 +97,8 @@ func TestCompilePhased(t *testing.T) {
 		trace.Point{At: 0, Bps: 2.5e6},
 		trace.Point{At: 10 * time.Second, Bps: 0.8e6},
 	)
-	if got := traceCSV(t, p.Trace); got != traceCSV(t, want) {
-		t.Errorf("trace mismatch:\n%s", got)
+	if !samePoints(p.Trace, want) {
+		t.Errorf("trace mismatch: %v", p.Trace.Points())
 	}
 	if p.Duration != 30*time.Second {
 		t.Errorf("Duration = %v, want 30s", p.Duration)
@@ -152,39 +149,37 @@ func TestCompileModelSeeded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if traceCSV(t, a.Trace) != traceCSV(t, b.Trace) {
+	if !samePoints(a.Trace, b.Trace) {
 		t.Error("same seed compiled to different traces")
 	}
 	c, err := s.Compile(CompileConfig{Seed: 8})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if traceCSV(t, a.Trace) == traceCSV(t, c.Trace) {
+	if samePoints(a.Trace, c.Trace) {
 		t.Error("different seeds compiled to the same randomwalk trace")
 	}
 }
 
 func TestCompileTraceCSV(t *testing.T) {
-	want := trace.StepDrop(2.5e6, 0.8e6, 10*time.Second)
+	want := stepDrop(2.5e6, 0.8e6, 10*time.Second)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cap.csv")
-	var b bytes.Buffer
-	if err := want.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("seconds,bps\n0,2500000\n10,800000\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := Scenario{Name: "imported", TraceCSV: path}
-	p, err := s.Compile(CompileConfig{})
+	p, err := s.Compile(CompileConfig{Duration: 30 * time.Second})
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if traceCSV(t, p.Trace) != traceCSV(t, want) {
+	if !samePoints(p.Trace, want) {
 		t.Error("imported trace differs from the source CSV")
 	}
-	if p.Duration != 10*time.Second {
-		t.Errorf("Duration = %v, want the last breakpoint time", p.Duration)
+	// The last row holds from its time on, so the path spans the compile
+	// duration, not just up to the last breakpoint.
+	if p.Duration != 30*time.Second {
+		t.Errorf("Duration = %v, want the compile duration", p.Duration)
 	}
 	if p.Trace.Name() != "imported" {
 		t.Errorf("Name = %q, want the scenario name", p.Trace.Name())
@@ -204,9 +199,9 @@ func TestStepDropScenarioMatchesTraceConstructor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	want := trace.StepDrop(2.5e6, 0.8e6, 10*time.Second)
-	if traceCSV(t, p.Trace) != traceCSV(t, want) {
-		t.Error("scenario.StepDrop differs from trace.StepDrop")
+	want := stepDrop(2.5e6, 0.8e6, 10*time.Second)
+	if !samePoints(p.Trace, want) {
+		t.Error("scenario.StepDrop differs from the reference step drop")
 	}
 	if p.Trace.Name() != want.Name() {
 		t.Errorf("name %q, want %q", p.Trace.Name(), want.Name())

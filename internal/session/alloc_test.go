@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"rtcadapt/internal/core"
-	"rtcadapt/internal/trace"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/video"
 )
 
@@ -41,7 +41,7 @@ func standardSession(d time.Duration) Config {
 		Duration:    d,
 		Seed:        1,
 		Content:     video.TalkingHead,
-		Trace:       trace.StepDrop(2.5e6, 0.8e6, 10*time.Second),
+		Trace:       compiledTrace(scenario.MustPreset("standard")),
 		InitialRate: 1e6,
 		Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
 	}

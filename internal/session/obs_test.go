@@ -8,6 +8,7 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/obs"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/video"
 )
@@ -20,7 +21,7 @@ func recordedConfig(rec *obs.Recorder) Config {
 		Duration:    10 * time.Second,
 		Seed:        7,
 		Content:     video.TalkingHead,
-		Trace:       trace.StepDrop(2.5e6, 0.8e6, 5*time.Second),
+		Trace:       compiledTrace(scenario.StepDrop(2.5e6, 0.8e6, 5*time.Second, 20*time.Second)),
 		InitialRate: 1e6,
 		LossProb:    0.001,
 		Controller:  core.NewAdaptive(core.AdaptiveConfig{}),

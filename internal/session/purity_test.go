@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"rtcadapt/internal/core"
-	"rtcadapt/internal/trace"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/video"
 )
 
@@ -24,7 +24,7 @@ func render(res Result) string {
 // any hidden shared mutable state between sessions shows up as a data race
 // or a diverging transcript.
 func TestConcurrentRunsArePure(t *testing.T) {
-	tr := trace.StepDrop(2.5e6, 0.6e6, 5*time.Second)
+	tr := compiledTrace(scenario.StepDrop(2.5e6, 0.6e6, 5*time.Second, 20*time.Second))
 	newConfig := func() Config {
 		// Controllers are stateful and single-use: everything except the
 		// shared Trace must be constructed per run.

@@ -30,6 +30,7 @@ import (
 	"rtcadapt/internal/obs"
 	"rtcadapt/internal/pacer"
 	"rtcadapt/internal/rtp"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/simtime"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
@@ -274,6 +275,29 @@ func reuse[T any](p **T) *T {
 		*p = new(T)
 	}
 	return *p
+}
+
+// ApplyPath lowers a compiled scenario path onto the config: the
+// capacity trace and every link impairment the path pins. NACK only ever
+// turns on (a caller that enabled it keeps it), and the duration is set
+// from the path only when the config's is zero, so a caller's explicit
+// duration wins. A burst-loss rate lowers to a Gilbert-Elliott process
+// with the suite's standard mean burst length of 8 packets; this is the
+// only place that rule lives.
+func (c *Config) ApplyPath(p scenario.Path) {
+	c.Trace = p.Trace
+	c.LossProb = p.Loss
+	c.PropDelay = p.PropDelay
+	c.QueueLimitBytes = p.Queue
+	if p.NACK {
+		c.NACK = true
+	}
+	if p.BurstLoss > 0 {
+		c.BurstLoss = netem.NewGilbertElliott(8, p.BurstLoss)
+	}
+	if c.Duration == 0 {
+		c.Duration = p.Duration
+	}
 }
 
 // Validate checks the configuration for impossible parameterizations and

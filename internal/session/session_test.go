@@ -8,10 +8,22 @@ import (
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/netem"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/simtime"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/video"
 )
+
+// compiledTrace compiles a test scenario to its capacity trace. Test
+// scenarios are literals and presets, so a compile error is a bug in the
+// test.
+func compiledTrace(s scenario.Scenario) *trace.Trace {
+	p, err := s.Compile(scenario.CompileConfig{})
+	if err != nil {
+		panic(err)
+	}
+	return p.Trace
+}
 
 func steadyConfig(ctrl core.Controller) Config {
 	return Config{
@@ -63,7 +75,7 @@ func TestDeterminism(t *testing.T) {
 			Duration:    10 * time.Second,
 			Seed:        7,
 			Content:     video.Gaming,
-			Trace:       trace.StepDrop(2.5e6, 0.8e6, 5*time.Second),
+			Trace:       compiledTrace(scenario.StepDrop(2.5e6, 0.8e6, 5*time.Second, 20*time.Second)),
 			InitialRate: 1e6,
 			Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
 			JitterAmp:   2 * time.Millisecond,
@@ -86,7 +98,7 @@ func dropConfig(ctrl core.Controller, seed int64) Config {
 		Duration:    30 * time.Second,
 		Seed:        seed,
 		Content:     video.TalkingHead,
-		Trace:       trace.StepDrop(2.5e6, 0.8e6, 10*time.Second),
+		Trace:       compiledTrace(scenario.MustPreset("standard")),
 		InitialRate: 1e6,
 		Controller:  ctrl,
 	}
@@ -543,7 +555,7 @@ func TestProbingSpeedsRecoveryAfterDropEnds(t *testing.T) {
 			Duration:    45 * time.Second,
 			Seed:        5,
 			Content:     video.TalkingHead,
-			Trace:       trace.StepDropRecover(2.5e6, 0.8e6, 10*time.Second, 20*time.Second),
+			Trace:       compiledTrace(scenario.MustPreset("flash-crowd")),
 			InitialRate: 1e6,
 			Probing:     probing,
 			Controller:  core.NewAdaptive(core.AdaptiveConfig{}),

@@ -229,19 +229,12 @@ func fuzzConfig(seed int64, mag, dropMs, rttMs, lossPct, burstPct, durMs uint16,
 		panic(err)
 	}
 	cfg := Config{
-		Duration:        time.Duration(500+int(durMs)%5000) * time.Millisecond,
-		Seed:            seed,
-		Content:         video.Class(flags >> 2 & 3),
-		Trace:           path.Trace,
-		LossProb:        path.Loss,
-		PropDelay:       path.PropDelay,
-		QueueLimitBytes: path.Queue,
-		NACK:            path.NACK,
-		Controller:      core.NewAdaptive(core.AdaptiveConfig{}),
+		Duration:   time.Duration(500+int(durMs)%5000) * time.Millisecond,
+		Seed:       seed,
+		Content:    video.Class(flags >> 2 & 3),
+		Controller: core.NewAdaptive(core.AdaptiveConfig{}),
 	}
-	if path.BurstLoss > 0 {
-		cfg.BurstLoss = netem.NewGilbertElliott(8, path.BurstLoss)
-	}
+	cfg.ApplyPath(path)
 	if flags&16 != 0 {
 		cfg.JitterAmp = 3 * time.Millisecond
 	}

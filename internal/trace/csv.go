@@ -10,27 +10,8 @@ import (
 	"rtcadapt/internal/units"
 )
 
-// WriteCSV writes the trace as "seconds,bps" rows with a header line.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"seconds", "bps"}); err != nil {
-		return err
-	}
-	for _, p := range t.points {
-		rec := []string{
-			strconv.FormatFloat(p.At.Seconds(), 'f', 6, 64),
-			strconv.FormatFloat(float64(p.Bps), 'f', 1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a trace written by WriteCSV (or any "seconds,bps" CSV with
-// an optional header row).
+// ReadCSV parses a measured capacity trace: "seconds,bps" rows, each
+// meaning "from this time on", with an optional "seconds,bps" header row.
 func ReadCSV(name string, r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2

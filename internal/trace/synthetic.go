@@ -8,6 +8,19 @@ import (
 	"rtcadapt/internal/units"
 )
 
+// The LTE model's fade shape and slow-fading spread. No experiment varies
+// them, so they are constants rather than configuration.
+const (
+	// lteFadeDepth is the multiplicative capacity factor during a deep
+	// fade.
+	lteFadeDepth = 0.25
+	// lteFadeHold is the mean fade duration.
+	lteFadeHold = 2 * time.Second
+	// lteSigma is the per-step lognormal variation (coefficient of
+	// variation) of the slow-fading process.
+	lteSigma = 0.15
+)
+
 // LTEConfig parameterizes the synthetic cellular capacity model.
 type LTEConfig struct {
 	// Mean is the long-run mean capacity in bits/s. Default 3 Mbps.
@@ -17,14 +30,6 @@ type LTEConfig struct {
 	// FadeProb is the per-step probability of entering a deep fade
 	// (signal loss / cell-edge episode). Default 0.01.
 	FadeProb float64
-	// FadeDepth is the multiplicative capacity factor during a fade.
-	// Default 0.25.
-	FadeDepth float64
-	// FadeHold is the mean fade duration. Default 2 s.
-	FadeHold time.Duration
-	// Sigma is the per-step lognormal variation (coefficient of
-	// variation) of the slow-fading process. Default 0.15.
-	Sigma float64
 }
 
 func (c *LTEConfig) defaults() {
@@ -36,15 +41,6 @@ func (c *LTEConfig) defaults() {
 	}
 	if c.FadeProb == 0 {
 		c.FadeProb = 0.01
-	}
-	if c.FadeDepth == 0 {
-		c.FadeDepth = 0.25
-	}
-	if c.FadeHold == 0 {
-		c.FadeHold = 2 * time.Second
-	}
-	if c.Sigma == 0 {
-		c.Sigma = 0.15
 	}
 }
 
@@ -60,20 +56,34 @@ func LTE(seed int64, dur time.Duration, cfg LTEConfig) *Trace {
 	const ar = 0.9 // AR(1) pull toward the mean
 	for at := time.Duration(0); at < dur; at += cfg.Step {
 		level = ar*level + (1-ar)*cfg.Mean
-		level = rng.Jitter(level, cfg.Sigma)
+		level = rng.Jitter(level, lteSigma)
 		level = stats.Clamp(level, 0.1*cfg.Mean, 3*cfg.Mean)
 		bps := level
 		if fadeLeft > 0 {
-			bps = level * cfg.FadeDepth
+			bps = level * lteFadeDepth
 			fadeLeft -= cfg.Step
 		} else if rng.Bool(cfg.FadeProb) {
-			fadeLeft = time.Duration(rng.Exponential(float64(cfg.FadeHold)))
-			bps = level * cfg.FadeDepth
+			fadeLeft = time.Duration(rng.Exponential(float64(lteFadeHold)))
+			bps = level * lteFadeDepth
 		}
 		ps = append(ps, Point{At: at, Bps: units.BitsPerSec(bps)})
 	}
 	return MustNew("lte", ps...)
 }
+
+// The WiFi model's contention shape and short-timescale spread. No
+// experiment varies them, so they are constants rather than
+// configuration.
+const (
+	// wifiContentionProb is the per-step probability of a contention
+	// burst (a competing station grabbing airtime).
+	wifiContentionProb = 0.05
+	// wifiContentionDepth is the capacity factor during contention.
+	wifiContentionDepth = 0.4
+	// wifiSigma is the per-step variation (WiFi is noisier than LTE at
+	// short timescales).
+	wifiSigma = 0.25
+)
 
 // WiFiConfig parameterizes the synthetic WiFi capacity model.
 type WiFiConfig struct {
@@ -81,15 +91,6 @@ type WiFiConfig struct {
 	Mean float64
 	// Step is the sampling granularity. Default 100 ms.
 	Step time.Duration
-	// ContentionProb is the per-step probability of a contention burst
-	// (a competing station grabbing airtime). Default 0.05.
-	ContentionProb float64
-	// ContentionDepth is the capacity factor during contention.
-	// Default 0.4.
-	ContentionDepth float64
-	// Sigma is per-step variation. Default 0.25 (WiFi is noisier than
-	// LTE at short timescales).
-	Sigma float64
 }
 
 func (c *WiFiConfig) defaults() {
@@ -98,15 +99,6 @@ func (c *WiFiConfig) defaults() {
 	}
 	if c.Step == 0 {
 		c.Step = 100 * time.Millisecond
-	}
-	if c.ContentionProb == 0 {
-		c.ContentionProb = 0.05
-	}
-	if c.ContentionDepth == 0 {
-		c.ContentionDepth = 0.4
-	}
-	if c.Sigma == 0 {
-		c.Sigma = 0.25
 	}
 }
 
@@ -117,9 +109,9 @@ func WiFi(seed int64, dur time.Duration, cfg WiFiConfig) *Trace {
 	rng := stats.NewRand(seed)
 	var ps []Point
 	for at := time.Duration(0); at < dur; at += cfg.Step {
-		bps := rng.Jitter(cfg.Mean, cfg.Sigma)
-		if rng.Bool(cfg.ContentionProb) {
-			bps *= cfg.ContentionDepth
+		bps := rng.Jitter(cfg.Mean, wifiSigma)
+		if rng.Bool(wifiContentionProb) {
+			bps *= wifiContentionDepth
 		}
 		bps = stats.Clamp(bps, 0.05*cfg.Mean, 2*cfg.Mean)
 		ps = append(ps, Point{At: at, Bps: units.BitsPerSec(bps)})

@@ -3,9 +3,11 @@
 // truth for the oracle estimator.
 //
 // A trace is an ordered list of (at, bps) breakpoints; the rate at time t is
-// the bps of the last breakpoint at or before t. Synthetic generators cover
-// the scenarios in the paper's evaluation: sudden step drops, staircases,
-// oscillation, and LTE/WiFi-like capacity processes.
+// the bps of the last breakpoint at or before t. The package holds only
+// what internal/scenario lowers a network path to: the trace type, the
+// seeded LTE/WiFi/random-walk capacity generators, and the CSV reader for
+// measured traces. Step drops, staircases and square waves are scenario
+// phases, not trace constructors.
 package trace
 
 import (
@@ -15,7 +17,6 @@ import (
 	"sort"
 	"time"
 
-	"rtcadapt/internal/stats"
 	"rtcadapt/internal/units"
 )
 
@@ -99,148 +100,7 @@ func (t *Trace) RateAt(at time.Duration) (bps units.BitsPerSec, validUntil time.
 	return t.points[i].Bps, next
 }
 
-// MeanRate returns the time-weighted mean capacity over [from, to).
-func (t *Trace) MeanRate(from, to time.Duration) units.BitsPerSec {
-	if to <= from {
-		return 0
-	}
-	var bits float64
-	cur := from
-	for cur < to {
-		bps, next := t.RateAt(cur)
-		end := to
-		if next < end {
-			end = next
-		}
-		bits += float64(bps) * (end - cur).Seconds()
-		cur = end
-	}
-	return units.BitsPerSec(bits / (to - from).Seconds())
-}
-
-// MinRate returns the lowest capacity in [from, to).
-func (t *Trace) MinRate(from, to time.Duration) units.BitsPerSec {
-	lo := math.Inf(1)
-	cur := from
-	for cur < to {
-		bps, next := t.RateAt(cur)
-		lo = math.Min(lo, float64(bps))
-		if next >= to {
-			break
-		}
-		cur = next
-	}
-	return units.BitsPerSec(lo)
-}
-
-// Scale returns a new trace with every rate multiplied by factor.
-func (t *Trace) Scale(factor float64) *Trace {
-	if factor <= 0 {
-		panic("trace: Scale factor must be positive")
-	}
-	ps := t.Points()
-	for i := range ps {
-		ps[i].Bps = ps[i].Bps.Scale(factor)
-	}
-	return &Trace{name: fmt.Sprintf("%s*%.2g", t.name, factor), points: ps}
-}
-
-// Clamp returns a new trace with every rate limited to [lo, hi].
-func (t *Trace) Clamp(lo, hi units.BitsPerSec) *Trace {
-	ps := t.Points()
-	for i := range ps {
-		ps[i].Bps = units.BitsPerSec(stats.Clamp(float64(ps[i].Bps), float64(lo), float64(hi)))
-	}
-	return &Trace{name: t.name + "#clamped", points: ps}
-}
-
-// Shift returns a new trace with all breakpoints delayed by d; the initial
-// rate is extended backward to time zero.
-func (t *Trace) Shift(d time.Duration) *Trace {
-	if d < 0 {
-		panic("trace: negative Shift")
-	}
-	ps := make([]Point, 0, len(t.points)+1)
-	ps = append(ps, Point{At: 0, Bps: t.points[0].Bps})
-	for _, p := range t.points {
-		if p.At == 0 {
-			continue
-		}
-		ps = append(ps, Point{At: p.At + d, Bps: p.Bps})
-	}
-	return &Trace{name: t.name + "#shifted", points: ps}
-}
-
-// Splice returns a trace equal to t before at and other (re-based to start
-// at at) afterward.
-func (t *Trace) Splice(at time.Duration, other *Trace) *Trace {
-	var ps []Point
-	for _, p := range t.points {
-		if p.At >= at {
-			break
-		}
-		ps = append(ps, p)
-	}
-	for _, p := range other.points {
-		ps = append(ps, Point{At: at + p.At, Bps: p.Bps})
-	}
-	return &Trace{name: t.name + "+" + other.name, points: ps}
-}
-
 // Constant returns a trace with a fixed capacity.
 func Constant(bps units.BitsPerSec) *Trace {
 	return MustNew(fmt.Sprintf("const-%.0fbps", float64(bps)), Point{At: 0, Bps: bps})
-}
-
-// StepDrop returns the paper's motivating scenario: capacity before until
-// dropAt, then capacity after.
-func StepDrop(before, after units.BitsPerSec, dropAt time.Duration) *Trace {
-	return MustNew(
-		fmt.Sprintf("drop-%.1f-to-%.1fMbps", before.Mbps(), after.Mbps()),
-		Point{At: 0, Bps: before},
-		Point{At: dropAt, Bps: after},
-	)
-}
-
-// StepDropRecover is StepDrop with capacity restored to before at
-// recoverAt.
-func StepDropRecover(before, after units.BitsPerSec, dropAt, recoverAt time.Duration) *Trace {
-	if recoverAt <= dropAt {
-		panic("trace: recoverAt must follow dropAt")
-	}
-	return MustNew(
-		fmt.Sprintf("droprec-%.1f-to-%.1fMbps", before.Mbps(), after.Mbps()),
-		Point{At: 0, Bps: before},
-		Point{At: dropAt, Bps: after},
-		Point{At: recoverAt, Bps: before},
-	)
-}
-
-// Staircase returns a trace that steps through the given rates, holding
-// each for hold.
-func Staircase(hold time.Duration, rates ...units.BitsPerSec) *Trace {
-	if len(rates) == 0 {
-		panic("trace: Staircase needs at least one rate")
-	}
-	ps := make([]Point, len(rates))
-	for i, r := range rates {
-		ps[i] = Point{At: time.Duration(i) * hold, Bps: r}
-	}
-	return MustNew("staircase", ps...)
-}
-
-// Oscillating returns a square wave alternating between hi and lo with the
-// given half-period, for the given duration.
-func Oscillating(hi, lo units.BitsPerSec, halfPeriod, dur time.Duration) *Trace {
-	var ps []Point
-	atHi := true
-	for at := time.Duration(0); at < dur; at += halfPeriod {
-		level := lo
-		if atHi {
-			level = hi
-		}
-		ps = append(ps, Point{At: at, Bps: level})
-		atHi = !atHi
-	}
-	return MustNew("oscillating", ps...)
 }

@@ -31,6 +31,7 @@ import (
 	"rtcadapt/internal/codec"
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
+	"rtcadapt/internal/scenario"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/units"
@@ -100,17 +101,30 @@ func Constant(bps BitsPerSec) *Trace { return trace.Constant(bps) }
 // StepDrop returns the paper's motivating workload: capacity before until
 // dropAt, then after.
 func StepDrop(before, after BitsPerSec, dropAt time.Duration) *Trace {
-	return trace.StepDrop(before, after, dropAt)
+	return compileTrace(scenario.StepDrop(before, after, dropAt, 20*time.Second), 0, 0)
 }
 
-// LTE generates a synthetic cellular capacity trace with deep fades.
+// LTE generates a synthetic cellular capacity trace with deep fades (the
+// "lte" scenario preset).
 func LTE(seed int64, dur time.Duration) *Trace {
-	return trace.LTE(seed, dur, trace.LTEConfig{})
+	return compileTrace(scenario.MustPreset("lte"), seed, dur)
 }
 
-// WiFi generates a synthetic WLAN capacity trace with contention dips.
+// WiFi generates a synthetic WLAN capacity trace with contention dips
+// (the "wifi" scenario preset).
 func WiFi(seed int64, dur time.Duration) *Trace {
-	return trace.WiFi(seed, dur, trace.WiFiConfig{})
+	return compileTrace(scenario.MustPreset("wifi"), seed, dur)
+}
+
+// compileTrace compiles a scenario to its capacity trace. The scenarios
+// above are valid by construction, so an error means an impossible
+// argument (a non-positive duration) and panics.
+func compileTrace(s scenario.Scenario, seed int64, dur time.Duration) *Trace {
+	p, err := s.Compile(scenario.CompileConfig{Seed: seed, Duration: dur})
+	if err != nil {
+		panic(err)
+	}
+	return p.Trace
 }
 
 // ContentClass selects the synthetic video content dynamics.
