@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -35,179 +36,197 @@ import (
 )
 
 func main() {
-	var (
-		exp           = flag.String("exp", "all", "experiment id: table1 | table2 | table3 | figure1..figure10 | frontier | scenarios | all")
-		seeds         = flag.Int("seeds", 5, "number of seeds to average over")
-		seed          = flag.Int64("seed", 1, "seed for single-run figures")
-		format        = flag.String("format", "text", "output format: text | csv")
-		parallel      = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size; 1 runs fully sequentially")
-		progress      = flag.Bool("progress", false, "log per-cell progress to stderr")
-		scenarios     = flag.String("scenario", "", "comma-separated scenario presets, YAML/JSON scenario files or seconds,bps CSV traces for -exp scenarios (default: every preset)")
-		duration      = flag.Duration("duration", 30*time.Second, "per-session length for -exp scenarios")
-		gridKind      = flag.String("grid", "default", "frontier sweep grid: default | small")
-		listScenarios = flag.Bool("list-scenarios", false, "list the built-in scenario presets and fleet populations, then exit")
-		cpuprof       = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
-		memprof       = flag.String("memprofile", "", "write a post-run heap profile to this file")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the testable entry point; it returns the process exit code.
+// Every flag problem is diagnosed on stderr (exit 2) before an experiment
+// runs; an experiment that fails exits 1.
+func run(args []string, stdoutW, stderrW io.Writer) int {
+	stdout := &cli.Printer{W: stdoutW}
+	stderr := &cli.Printer{W: stderrW}
+	code := runCmd(args, stdout, stderr, stderrW)
+	if code == 0 && stdout.Err != nil {
+		//lint:ignore errdrop stderr is the last resort; its own failure has nowhere to go
+		fmt.Fprintf(stderrW, "benchdrop: writing output: %v\n", stdout.Err)
+		return 1
+	}
+	return code
+}
+
+// paperOrder is the experiment order of "all". "all" reproduces the paper
+// set only; the corpus sweeps (frontier, scenarios) are opt-in so
+// docs/results_snapshot.txt stays pinned.
+var paperOrder = [...]string{"figure1", "table1", "table2", "figure2", "figure3", "table3", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9", "figure10"}
+
+// frontierGrids are the -grid choices. "small" is a 2×2 corner of the full
+// grid at one (loss, RTT): quick enough for smoke checks while exercising
+// the whole pipeline.
+var frontierGrids = map[string]scenario.Grid{
+	"default": {},
+	"small": {
+		DropAt:     3 * time.Second,
+		Tail:       2 * time.Second,
+		Magnitudes: []float64{0.5, 0.8},
+		Durations:  []time.Duration{time.Second, 3 * time.Second},
+		RTTs:       []time.Duration{50 * time.Millisecond},
+		Losses:     []float64{0},
+	},
+}
+
+func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
+	fs := flag.NewFlagSet("benchdrop", flag.ContinueOnError)
+	fs.SetOutput(stderrW)
+	var (
+		exp           = fs.String("exp", "all", "experiment id: table1 | table2 | table3 | figure1..figure10 | frontier | scenarios | all")
+		seeds         = fs.Int("seeds", 5, "number of seeds to average over")
+		seed          = fs.Int64("seed", 1, "seed for single-run figures")
+		format        = fs.String("format", "text", "output format: text | csv")
+		parallel      = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size; 1 runs fully sequentially")
+		progress      = fs.Bool("progress", false, "log per-cell progress to stderr")
+		scenarios     = fs.String("scenario", "", "comma-separated scenario presets, YAML/JSON scenario files or seconds,bps CSV traces for -exp scenarios (default: every preset)")
+		duration      = fs.Duration("duration", 30*time.Second, "per-session length for -exp scenarios")
+		gridKind      = fs.String("grid", "default", "frontier sweep grid: default | small")
+		listScenarios = fs.Bool("list-scenarios", false, "list the built-in scenario presets and fleet populations, then exit")
+		cpuprof       = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
+		memprof       = fs.String("memprofile", "", "write a post-run heap profile to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 0 {
+		stderr.Printf("benchdrop: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	if *listScenarios {
 		for _, name := range scenario.PresetNames() {
-			fmt.Println(name)
+			stdout.Printf("%s\n", name)
 		}
 		for _, name := range scenario.PopulationNames() {
-			fmt.Printf("%s (fleet population)\n", name)
+			stdout.Printf("%s (fleet population)\n", name)
 		}
-		return
+		return 0
 	}
 
-	seedList := make([]int64, *seeds)
-	for i := range seedList {
-		seedList[i] = int64(i + 1)
-	}
-
+	var seedList []int64 // filled once -seeds is validated
 	r := &experiments.Runner{Workers: *parallel}
 	if *progress {
 		r.Progress = func(done, total int, label string) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, label)
+			stderr.Printf("[%d/%d] %s\n", done, total, label)
 		}
+	}
+	grid, gridOK := frontierGrids[*gridKind]
+	runners := map[string]func() (string, error){
+		"table1":   func() (string, error) { return experiments.RenderTable1(r.Table1(seedList)), nil },
+		"table2":   func() (string, error) { return experiments.RenderTable2(r.Table2(seedList)), nil },
+		"table3":   func() (string, error) { return experiments.RenderTable3(r.Table3(seedList)), nil },
+		"figure1":  func() (string, error) { return experiments.RenderFigure1(r.Figure1(*seed)), nil },
+		"figure2":  func() (string, error) { return experiments.RenderFigure2(r.Figure2(seedList)), nil },
+		"figure3":  func() (string, error) { return experiments.RenderFigure3(r.Figure3(seedList)), nil },
+		"figure4":  func() (string, error) { return experiments.RenderFigure4(r.Figure4(seedList)), nil },
+		"figure5":  func() (string, error) { return experiments.RenderFigure5(r.Figure5(seedList)), nil },
+		"figure6":  func() (string, error) { return experiments.RenderFigure6(r.Figure6(seedList)), nil },
+		"figure7":  func() (string, error) { return experiments.RenderFigure7(r.Figure7(seedList)), nil },
+		"figure8":  func() (string, error) { return experiments.RenderFigure8(r.Figure8(seedList)), nil },
+		"figure9":  func() (string, error) { return experiments.RenderFigure9(r.Figure9(seedList)), nil },
+		"figure10": func() (string, error) { return experiments.RenderFigure10(r.Figure10(seedList)), nil },
+		"frontier": func() (string, error) {
+			res, err := r.Frontier(grid, seedList)
+			if err != nil {
+				return "", err
+			}
+			return experiments.RenderFrontier(res), nil
+		},
+		"scenarios": func() (string, error) {
+			scs, err := resolveScenarios(*scenarios)
+			if err != nil {
+				return "", err
+			}
+			rows, err := r.ScenarioTable(scs,
+				[]experiments.ControllerKind{experiments.KindNative, experiments.KindAdaptive},
+				seedList, *duration)
+			if err != nil {
+				return "", err
+			}
+			return experiments.RenderScenarioTable(rows), nil
+		},
 	}
 
-	// stopCPU ends CPU profiling; finish is the single normal-exit path so
-	// profiles are complete whichever experiment branch ran. fatal stops the
-	// profile too (truncating it at the failure point) before exiting.
-	var stopCPU func() error
-	finish := func() {
-		if stopCPU != nil {
-			if err := stopCPU(); err != nil {
-				fmt.Fprintln(os.Stderr, "benchdrop:", err)
-			}
-			stopCPU = nil
-		}
-		if *memprof != "" {
-			if err := cli.WriteHeapProfile(*memprof); err != nil {
-				fmt.Fprintln(os.Stderr, "benchdrop:", err)
-			}
-		}
+	switch _, known := runners[*exp]; {
+	case !known && *exp != "all":
+		stderr.Printf("benchdrop: unknown experiment %q\n", *exp)
+		return 2
+	case *seeds < 1:
+		stderr.Printf("benchdrop: -seeds must be at least 1, got %d\n", *seeds)
+		return 2
+	case *format != "text" && *format != "csv":
+		stderr.Printf("benchdrop: unknown -format %q (want text | csv)\n", *format)
+		return 2
+	case *duration <= 0:
+		stderr.Printf("benchdrop: -duration must be positive, got %v\n", *duration)
+		return 2
+	case !gridOK:
+		stderr.Printf("benchdrop: unknown -grid %q (want default | small)\n", *gridKind)
+		return 2
 	}
-	fatal := func(err error) {
-		fmt.Fprintln(os.Stderr, "benchdrop:", err)
-		if stopCPU != nil {
-			//lint:ignore errdrop the experiment error is the one worth reporting on this path
-			stopCPU()
-		}
-		os.Exit(1)
+	seedList = make([]int64, *seeds)
+	for i := range seedList {
+		seedList[i] = int64(i + 1)
 	}
 
 	if *cpuprof != "" {
 		stop, err := cli.StartCPUProfile(*cpuprof)
 		if err != nil {
-			fatal(err)
+			stderr.Printf("benchdrop: %v\n", err)
+			return 1
 		}
-		stopCPU = stop
+		// Deferred so an experiment failure still closes the profile,
+		// truncated at the failure point.
+		defer func() {
+			if err := stop(); err != nil {
+				stderr.Printf("benchdrop: %v\n", err)
+			}
+		}()
 	}
-	frontierGrid := func() scenario.Grid {
-		switch *gridKind {
-		case "default":
-			return scenario.Grid{}
-		case "small":
-			// A 2×2 corner of the full grid at one (loss, RTT): quick
-			// enough for smoke checks while exercising the whole pipeline.
-			return scenario.Grid{
-				DropAt:     3 * time.Second,
-				Tail:       2 * time.Second,
-				Magnitudes: []float64{0.5, 0.8},
-				Durations:  []time.Duration{time.Second, 3 * time.Second},
-				RTTs:       []time.Duration{50 * time.Millisecond},
-				Losses:     []float64{0},
-			}
-		}
-		fatal(fmt.Errorf("unknown -grid %q (want default | small)", *gridKind))
-		panic("unreachable")
-	}
-	resolveScenarios := func() []scenario.Scenario {
-		if *scenarios == "" {
-			var scs []scenario.Scenario
-			for _, name := range scenario.PresetNames() {
-				scs = append(scs, scenario.MustPreset(name))
-			}
-			return scs
-		}
-		scs, err := cli.ResolveScenarios(*scenarios)
-		if err != nil {
-			fatal(err)
-		}
-		return scs
-	}
-
-	runners := map[string]func(){
-		"table1":  func() { fmt.Println(experiments.RenderTable1(r.Table1(seedList))) },
-		"table2":  func() { fmt.Println(experiments.RenderTable2(r.Table2(seedList))) },
-		"table3":  func() { fmt.Println(experiments.RenderTable3(r.Table3(seedList))) },
-		"figure1": func() { fmt.Println(experiments.RenderFigure1(r.Figure1(*seed))) },
-		"figure2": func() { fmt.Println(experiments.RenderFigure2(r.Figure2(seedList))) },
-		"figure3": func() { fmt.Println(experiments.RenderFigure3(r.Figure3(seedList))) },
-		"figure4": func() { fmt.Println(experiments.RenderFigure4(r.Figure4(seedList))) },
-		"figure5": func() { fmt.Println(experiments.RenderFigure5(r.Figure5(seedList))) },
-		"figure6": func() { fmt.Println(experiments.RenderFigure6(r.Figure6(seedList))) },
-		"figure7": func() { fmt.Println(experiments.RenderFigure7(r.Figure7(seedList))) },
-		"figure8": func() { fmt.Println(experiments.RenderFigure8(r.Figure8(seedList))) },
-		"figure9": func() { fmt.Println(experiments.RenderFigure9(r.Figure9(seedList))) },
-		"figure10": func() {
-			fmt.Println(experiments.RenderFigure10(r.Figure10(seedList)))
-		},
-		"frontier": func() {
-			res, err := r.Frontier(frontierGrid(), seedList)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(experiments.RenderFrontier(res))
-		},
-		"scenarios": func() {
-			rows, err := r.ScenarioTable(resolveScenarios(),
-				[]experiments.ControllerKind{experiments.KindNative, experiments.KindAdaptive},
-				seedList, *duration)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println(experiments.RenderScenarioTable(rows))
-		},
-	}
-	// "all" reproduces the paper set only; the corpus sweeps (frontier,
-	// scenarios) are opt-in so docs/results_snapshot.txt stays pinned.
-	order := []string{"figure1", "table1", "table2", "figure2", "figure3", "table3", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9", "figure10"}
-
-	if *format == "csv" {
-		ids := order
-		if *exp != "all" {
-			ids = []string{*exp}
-		}
-		for _, id := range ids {
-			out, err := r.CSV(id, seedList)
-			if err != nil {
-				fatal(err)
-			}
-			if *exp == "all" {
-				fmt.Printf("# %s\n", id)
-			}
-			fmt.Print(out)
-		}
-		finish()
-		return
-	}
-
+	ids := []string{*exp}
 	if *exp == "all" {
-		for _, id := range order {
-			runners[id]()
+		ids = paperOrder[:]
+	}
+	for _, id := range ids {
+		render := runners[id]
+		if *format == "csv" {
+			render = func() (string, error) { return r.CSV(id, seedList) }
 		}
-		finish()
-		return
+		out, err := render()
+		if err != nil {
+			stderr.Printf("benchdrop: %v\n", err)
+			return 1
+		}
+		switch {
+		case *format == "text":
+			out += "\n"
+		case *exp == "all":
+			out = "# " + id + "\n" + out
+		}
+		stdout.Printf("%s", out)
 	}
-	run, ok := runners[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchdrop: unknown experiment %q\n", *exp)
-		os.Exit(1)
+	if *memprof != "" {
+		if err := cli.WriteHeapProfile(*memprof); err != nil {
+			stderr.Printf("benchdrop: %v\n", err)
+			return 1
+		}
 	}
-	run()
-	finish()
+	return 0
+}
+
+// resolveScenarios resolves the -scenario flag; empty means every preset.
+func resolveScenarios(arg string) ([]scenario.Scenario, error) {
+	if arg == "" {
+		var scs []scenario.Scenario
+		for _, name := range scenario.PresetNames() {
+			scs = append(scs, scenario.MustPreset(name))
+		}
+		return scs, nil
+	}
+	return cli.ResolveScenarios(arg)
 }

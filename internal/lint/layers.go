@@ -10,7 +10,7 @@ import "strings"
 //	  |
 //	api          .  (package rtcadapt)
 //	  |
-//	tooling      internal/benchjson  internal/lint
+//	tooling      internal/lint
 //	  |
 //	measurement  internal/cli  internal/experiments  internal/fleet  internal/plot
 //	  |
@@ -57,7 +57,7 @@ var LayerTable = []Layer{
 	{Name: "engine", Pkgs: []string{"internal/core"}},
 	{Name: "harness", AllowIntra: true, Pkgs: []string{"internal/session", "internal/sfu"}},
 	{Name: "measurement", AllowIntra: true, Pkgs: []string{"internal/cli", "internal/experiments", "internal/fleet", "internal/plot"}},
-	{Name: "tooling", Pkgs: []string{"internal/benchjson", "internal/lint"}},
+	{Name: "tooling", Pkgs: []string{"internal/lint"}},
 	{Name: "api", Pkgs: []string{"."}},
 	{Name: "main", Pkgs: []string{"cmd/...", "examples/..."}},
 }

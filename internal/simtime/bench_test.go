@@ -78,58 +78,68 @@ func mixedChurnFn(a any) {
 	c.s.AfterArg(c.mixedDelay(), mixedChurnFn, a)
 }
 
-// benchSchedulerMixedHorizon measures Step with a large standing queue of
-// self-rearming events whose deadlines span all wheel levels: O(1)
-// placement plus amortized cascades, where a binary heap would sift
-// O(log n) on every push and pop.
-func benchSchedulerMixedHorizon(b *testing.B) {
+// newMixedHorizon returns a scheduler holding n standing self-rearming
+// events whose deadlines span all wheel levels, already stepped n times
+// so placement and the event pool are in steady state.
+func newMixedHorizon(n int) *Scheduler {
 	s := NewScheduler()
-	const standing = 1 << 14
-	churners := make([]mixedChurner, standing)
+	churners := make([]mixedChurner, n)
 	for i := range churners {
 		churners[i] = mixedChurner{s: s, rng: uint32(i)}
 		s.AfterArg(churners[i].mixedDelay(), mixedChurnFn, &churners[i])
 	}
-	for i := 0; i < standing; i++ { // reach placement and pool steady state
+	for i := 0; i < n; i++ {
 		s.Step()
 	}
+	return s
+}
+
+// BenchmarkSchedulerMixedHorizon measures Step with 16k standing
+// mixed-horizon events: O(1) placement plus amortized cascades, where a
+// binary heap would sift O(log n) on every push and pop.
+func BenchmarkSchedulerMixedHorizon(b *testing.B) {
+	s := newMixedHorizon(1 << 14)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
 	}
-}
-
-// BenchmarkSchedulerMixedHorizon keeps its "wheel" sub-benchmark name so
-// the bench-smoke gate still matches the committed baseline entry.
-func BenchmarkSchedulerMixedHorizon(b *testing.B) {
-	b.Run("wheel", benchSchedulerMixedHorizon)
 }
 
 func cancelBenchNoop(any) {}
 
-// benchSchedulerCancel measures the cancel-and-replace pattern that
-// retransmit timers and pacer deadline updates hit constantly: cancel a
-// pending event from deep inside the queue, then schedule a fresh one.
-// The wheel unlinks in O(1).
-func benchSchedulerCancel(b *testing.B) {
-	s := NewScheduler()
-	const ring = 1 << 12
-	evs := make([]Event, ring)
-	for i := range evs {
-		evs[i] = s.AtArg(s.Now()+mixedHorizons[i&7], cancelBenchNoop, nil)
+// cancelRing holds n pending events spread over the mixed horizons, for
+// the cancel-and-replace pattern that retransmit timers and pacer
+// deadline updates hit constantly.
+type cancelRing struct {
+	s   *Scheduler
+	evs []Event
+}
+
+// newCancelRing schedules n pending events; n must be a power of two.
+func newCancelRing(n int) *cancelRing {
+	r := &cancelRing{s: NewScheduler(), evs: make([]Event, n)}
+	for i := range r.evs {
+		r.evs[i] = r.s.AtArg(r.s.Now()+mixedHorizons[i&7], cancelBenchNoop, nil)
 	}
+	return r
+}
+
+// replace cancels the i-th pending event (modulo the ring) from deep
+// inside the queue and schedules a fresh one in its place.
+func (r *cancelRing) replace(i int) {
+	j := i & (len(r.evs) - 1)
+	r.evs[j].Cancel()
+	r.evs[j] = r.s.AtArg(r.s.Now()+mixedHorizons[i&7], cancelBenchNoop, nil)
+}
+
+// BenchmarkSchedulerCancel measures cancel-and-replace with 4k pending
+// events. The wheel unlinks in O(1).
+func BenchmarkSchedulerCancel(b *testing.B) {
+	r := newCancelRing(1 << 12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i & (ring - 1)
-		evs[j].Cancel()
-		evs[j] = s.AtArg(s.Now()+mixedHorizons[i&7], cancelBenchNoop, nil)
+		r.replace(i)
 	}
-}
-
-// BenchmarkSchedulerCancel keeps its "wheel" sub-benchmark name for the
-// same reason as BenchmarkSchedulerMixedHorizon.
-func BenchmarkSchedulerCancel(b *testing.B) {
-	b.Run("wheel", benchSchedulerCancel)
 }

@@ -2,6 +2,7 @@
 
 package simtime
 
-// raceEnabled lets allocation-budget gates skip under the race detector,
-// whose instrumentation perturbs allocation accounting.
+// raceEnabled lets allocation-budget and cost-ratio gates skip under the
+// race detector, whose instrumentation perturbs allocation accounting
+// and timing.
 const raceEnabled = true
