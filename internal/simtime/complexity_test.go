@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -49,11 +50,18 @@ func bestPerOp(t *testing.T, ops int, depths [2]int, setup func(depth int) func(
 // exceeds complexityMaxRatio times the shallow one's.
 func checkRatio(t *testing.T, depths [2]int, best [2]float64) {
 	t.Helper()
+	checkCost(t, [2]string{fmt.Sprintf("%d pending", depths[0]), fmt.Sprintf("%d pending", depths[1])}, best)
+}
+
+// checkCost fails the test when the second queue's per-operation cost
+// exceeds complexityMaxRatio times the first one's.
+func checkCost(t *testing.T, names [2]string, best [2]float64) {
+	t.Helper()
 	ratio := best[1] / best[0]
-	t.Logf("%d pending: %.1f ns/op, %d pending: %.1f ns/op, ratio %.2f", depths[0], best[0], depths[1], best[1], ratio)
+	t.Logf("%s: %.1f ns/op, %s: %.1f ns/op, ratio %.2f", names[0], best[0], names[1], best[1], ratio)
 	if ratio > complexityMaxRatio {
-		t.Fatalf("per-operation cost grows %.2f× from %d to %d pending events (max %.1f×): not O(1)",
-			ratio, depths[0], depths[1], complexityMaxRatio)
+		t.Fatalf("per-operation cost grows %.2f× from %s to %s (max %.1f×): not O(1)",
+			ratio, names[0], names[1], complexityMaxRatio)
 	}
 }
 
@@ -84,4 +92,55 @@ func TestCancelReplaceCostIndependentOfDepth(t *testing.T) {
 			}
 		}
 	}))
+}
+
+// swingQueue returns an operation loop on a fresh scheduler whose depth
+// swings between lo and hi pending events: it pushes up to hi, then
+// Steps down to lo, and again. One push or one Step is one operation.
+// Deadlines follow BenchmarkSchedulerChurn: 0–99 µs ahead, cycling.
+func swingQueue(lo, hi int) func(int) {
+	s := NewScheduler()
+	k := 0
+	push := func() {
+		s.AfterArg(time.Duration(k%100)*time.Microsecond, cancelBenchNoop, nil)
+		k++
+	}
+	for s.Len() < lo {
+		push()
+	}
+	rising := true
+	return func(ops int) {
+		for i := 0; i < ops; i++ {
+			if rising {
+				push()
+				rising = s.Len() < hi
+			} else {
+				s.Step()
+				rising = s.Len() <= lo
+			}
+		}
+	}
+}
+
+// TestModeSwitchCostIndependentOfDepth gates the cost of moving between
+// the shallow-queue array and the wheel. Each swinging queue is timed
+// against a queue held at 64 pending, which never leaves the wheel:
+//   - 0 ↔ 64 is BenchmarkSchedulerChurn's cycle;
+//   - nearMax-2 ↔ nearMax+2 crosses the spill point on every swing.
+//
+// A spilled queue stays in the wheel until Reset, so both pay one spill
+// and then run at the wheel's cost; a queue that folded back on every
+// drop below nearMax would switch twice per swing of eight operations.
+func TestModeSwitchCostIndependentOfDepth(t *testing.T) {
+	for _, sw := range [][2]int{{0, 64}, {nearMax - 2, nearMax + 2}} {
+		t.Run(fmt.Sprintf("swing%d-%d", sw[0], sw[1]), func(t *testing.T) {
+			names := [2]string{"held at 64", fmt.Sprintf("swinging %d↔%d", sw[0], sw[1])}
+			checkCost(t, names, bestPerOp(t, 1<<16, [2]int{0, 1}, func(k int) func(int) {
+				if k == 0 {
+					return swingQueue(64, 65)
+				}
+				return swingQueue(sw[0], sw[1])
+			}))
+		})
+	}
 }

@@ -204,7 +204,8 @@ func diffModel(t *testing.T, ops []byte) {
 
 // TestWheelMatchesModelRandomOps drives the wheel and the reference model
 // through seeded random op streams. This is the cheap always-on cousin of
-// FuzzSchedulerEquivalence.
+// FuzzSchedulerEquivalence. The streams grow the queue past the
+// shallow-queue array, so they cover the array, the spill and the wheel.
 func TestWheelMatchesModelRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -220,9 +221,10 @@ func TestWheelMatchesModelRandomOps(t *testing.T) {
 
 // TestSchedulerBehaviorBothImpls pins the core scheduler contract in one
 // pass: deadline order, FIFO among same-instant events, eager cancel, and
-// Reset. The timer wheel is the only queue now; the test and its "wheel"
-// subtest keep the names they had when a heap queue ran beside it, so a
-// failure here stays comparable with older runs.
+// Reset. One queue runs now, the shallow-queue array in front of the
+// timer wheel; the test and its "wheel" subtest keep the names they had
+// when a heap queue ran beside it, so a failure here stays comparable
+// with older runs.
 func TestSchedulerBehaviorBothImpls(t *testing.T) {
 	t.Run("wheel", func(t *testing.T) {
 		s := NewScheduler()

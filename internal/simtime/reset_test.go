@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -72,5 +73,67 @@ func TestResetKeepsPoolWarm(t *testing.T) {
 	}
 	if ev.Pending() {
 		t.Error("stale handle still Pending after Reset")
+	}
+}
+
+// TestResetInBothModes resets a scheduler once with its queue in the
+// shallow-queue array and once spilled into the wheel. In both, every
+// record returns to the free list, outstanding handles go stale, the
+// queue is empty and back in array mode, and a rerun on the poisoned pool
+// fires in the same order as a fresh scheduler.
+func TestResetInBothModes(t *testing.T) {
+	// workload schedules depth events with same-instant ties and returns
+	// the firing order by tag.
+	workload := func(s *Scheduler, depth int) []int {
+		var got []int
+		for i := 0; i < depth; i++ {
+			i := i
+			s.At(time.Duration(i%7)*time.Millisecond, func() { got = append(got, i) })
+		}
+		s.Run()
+		return got
+	}
+	for _, tc := range []struct {
+		name    string
+		depth   int
+		spilled bool
+	}{
+		{"array", nearMax, false},
+		{"wheel", 40, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewScheduler()
+			s.After(time.Millisecond, func() {})
+			s.Step() // move the clock off zero
+			handles := make([]Event, tc.depth)
+			for i := range handles {
+				handles[i] = s.After(time.Duration(i%5)*time.Millisecond, func() {
+					t.Errorf("event from pre-Reset life fired at %v", s.Now())
+				})
+			}
+			if s.wheel.spilled != tc.spilled {
+				t.Fatalf("with %d pending, spilled = %v, want %v", tc.depth, s.wheel.spilled, tc.spilled)
+			}
+			s.Reset()
+			if s.Len() != 0 || s.Now() != 0 || s.wheel.spilled {
+				t.Fatalf("after Reset: Len=%d Now=%v spilled=%v, want 0, 0, false", s.Len(), s.Now(), s.wheel.spilled)
+			}
+			if n := len(freeList(s)); n != s.minted {
+				t.Fatalf("free list holds %d of %d minted records after Reset", n, s.minted)
+			}
+			for i, h := range handles {
+				if h.Pending() || h.Cancel() {
+					t.Fatalf("handle %d still live after Reset", i)
+				}
+			}
+			poisonFreeEvents(t, s)
+			for _, depth := range []int{tc.depth, 40} {
+				got, want := workload(s, depth), workload(NewScheduler(), depth)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("depth %d: reused scheduler fired %v, fresh fired %v", depth, got, want)
+				}
+				s.Reset()
+			}
+		})
 	}
 }

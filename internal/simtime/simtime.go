@@ -5,9 +5,11 @@
 // The zero value of Scheduler is ready to use. Events scheduled for the same
 // instant fire in scheduling order (FIFO), which keeps runs reproducible.
 //
-// The queue is a hierarchical timer wheel (see wheel.go). Tests check it
-// against a plain reference model (FuzzSchedulerEquivalence) that shares
-// no code with it.
+// The queue (see wheel.go) keeps up to 16 pending events in a sorted
+// inline array and spills into a hierarchical timer wheel only when the
+// depth it observes grows past that; it stays in the wheel until Reset.
+// Tests check it against a plain reference model
+// (FuzzSchedulerEquivalence) that shares no code with it.
 //
 // # Allocation model
 //
@@ -55,12 +57,12 @@ type event struct {
 
 	// index locates the record inside its container: the index in the
 	// wheel's overflow or ready heap, or 0 as a queued marker for slot
-	// residents (their position is carried by the next/prev links).
-	// index == -1 means not queued; Pending and the pool tests key on
-	// that.
+	// residents (their position is carried by the next/prev links) and
+	// for shallow-queue array residents (found by id). index == -1 means
+	// not queued; Pending and the pool tests key on that.
 	index int
 	// level says which container the record is in: a wheel level
-	// 0..wheelLevels-1, locOver, or locReady. Meaningless while
+	// 0..wheelLevels-1, locOver, locReady, or locNear. Meaningless while
 	// index == -1.
 	level int8
 	// slot is the wheel slot number when level is a wheel level.
@@ -185,12 +187,10 @@ func (s *Scheduler) At(t time.Duration, fn func()) Event {
 	return s.schedule(t, fn, nil, nil)
 }
 
-// After schedules fn to run d from now. Negative d is treated as zero.
+// After schedules fn to run d from now. Negative d is treated as zero, and
+// a deadline past the largest representable one saturates to it.
 func (s *Scheduler) After(d time.Duration, fn func()) Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
+	return s.At(s.deadline(d), fn)
 }
 
 // AtArg schedules fn(arg) to run at absolute virtual time t. Passing a
@@ -206,12 +206,22 @@ func (s *Scheduler) AtArg(t time.Duration, fn func(any), arg any) Event {
 }
 
 // AfterArg schedules fn(arg) to run d from now. Negative d is treated as
-// zero. See AtArg for the allocation contract.
+// zero, and a deadline past the largest representable one saturates to
+// it. See AtArg for the allocation contract.
 func (s *Scheduler) AfterArg(d time.Duration, fn func(any), arg any) Event {
+	return s.AtArg(s.deadline(d), fn, arg)
+}
+
+// deadline returns now+d, clamping d below at zero and the sum above at
+// maxDeadline, where the plain addition would wrap negative.
+func (s *Scheduler) deadline(d time.Duration) time.Duration {
 	if d < 0 {
-		d = 0
+		return s.now
 	}
-	return s.AtArg(s.now+d, fn, arg)
+	if d > maxDeadline-s.now {
+		return maxDeadline
+	}
+	return s.now + d
 }
 
 // schedule acquires a pooled record, fills it, and queues it.
@@ -264,9 +274,10 @@ func (s *Scheduler) release(ev *event) {
 	s.freeHead = ev.id
 }
 
-// Reset returns the scheduler to its initial state — empty queue, clock at
-// zero, sequence counter at zero, stop flag cleared — while keeping the
-// event free list and the wheel's backing arrays. One scheduler can
+// Reset returns the scheduler to its initial state — empty queue in
+// shallow-array mode, clock at zero, sequence counter at zero, stop flag
+// cleared — while keeping the event free list and the wheel's backing
+// arrays. One scheduler can
 // thereby be reused across many sequential simulation runs (the fleet's
 // per-shard discipline) with its pools already warm: the first run pays
 // the event allocations, every later run on the same scheduler is
@@ -293,12 +304,19 @@ const maxDeadline = time.Duration(math.MaxInt64)
 // on; the event's record is recycled before the callback runs, so a
 // callback that schedules new events reuses it immediately.
 func (s *Scheduler) step(limit time.Duration) bool {
-	ev := s.wheel.min(s)
-	if ev == nil || ev.at > limit {
-		return false
+	w := &s.wheel
+	var ev *event
+	if !w.spilled {
+		if ev = w.popNear(s, limit); ev == nil {
+			return false
+		}
+	} else {
+		if ev = w.min(s); ev == nil || ev.at > limit {
+			return false
+		}
+		w.remove(s, ev)
+		w.advance(s, wheelTick(ev.at))
 	}
-	s.wheel.remove(s, ev)
-	s.wheel.advance(s, wheelTick(ev.at))
 	s.now = ev.at
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
 	s.release(ev)
@@ -318,11 +336,17 @@ func (s *Scheduler) Step() bool { return s.step(maxDeadline) }
 // Peek returns the deadline of the earliest pending event and true, or zero
 // and false if none is pending.
 func (s *Scheduler) Peek() (time.Duration, bool) {
-	ev := s.wheel.min(s)
-	if ev == nil {
+	w := &s.wheel
+	if w.spilled {
+		if ev := w.min(s); ev != nil {
+			return ev.at, true
+		}
 		return 0, false
 	}
-	return ev.at, true
+	if w.count == 0 {
+		return 0, false
+	}
+	return w.near[w.count-1].at, true
 }
 
 // RunUntil fires events in order until the queue is exhausted or the next
@@ -335,7 +359,9 @@ func (s *Scheduler) RunUntil(t time.Duration) {
 	}
 	if !s.stopped && s.now < t {
 		s.now = t
-		s.wheel.advance(s, wheelTick(t))
+		if s.wheel.spilled {
+			s.wheel.advance(s, wheelTick(t))
+		}
 	}
 }
 
@@ -386,7 +412,14 @@ func tickerFire(a any) {
 	}
 }
 
+// arm schedules the next tick. A ticker whose previous tick saturated at
+// the largest representable deadline has no later tick and stops instead
+// of re-arming at the same instant forever.
 func (t *Ticker) arm() {
+	if t.s.now == maxDeadline {
+		t.stopped = true
+		return
+	}
 	t.ev = t.s.AfterArg(t.interval, tickerFire, t)
 }
 

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -64,6 +65,39 @@ func TestSchedulerNegativeAfterClamped(t *testing.T) {
 	}
 	if s.Now() != 0 {
 		t.Errorf("clock moved to %v, want 0", s.Now())
+	}
+}
+
+// TestSchedulerAfterSaturates pins that a delay reaching past the largest
+// representable deadline schedules at that deadline instead of wrapping
+// now+d negative and panicking as a past event.
+func TestSchedulerAfterSaturates(t *testing.T) {
+	s := NewScheduler()
+	s.After(time.Second, func() {})
+	s.Step()
+	var fired []time.Duration
+	s.After(math.MaxInt64, func() { fired = append(fired, s.Now()) })
+	s.AfterArg(math.MaxInt64-time.Millisecond, func(any) { fired = append(fired, s.Now()) }, nil)
+	s.Run()
+	if len(fired) != 2 || fired[0] != maxDeadline || fired[1] != maxDeadline {
+		t.Fatalf("saturated events fired at %v, want both at %v", fired, maxDeadline)
+	}
+}
+
+// TestTickerRearmSaturates pins the same for a ticker whose next deadline
+// overflows: it fires once at the largest representable deadline and then
+// stops, so Run returns on its own.
+func TestTickerRearmSaturates(t *testing.T) {
+	s := NewScheduler()
+	interval := maxDeadline/2 + time.Hour
+	var ticks []time.Duration
+	s.Tick(interval, func() { ticks = append(ticks, s.Now()) })
+	s.Run()
+	if len(ticks) != 2 || ticks[0] != interval || ticks[1] != maxDeadline {
+		t.Fatalf("ticks at %v, want [%v %v]", ticks, interval, maxDeadline)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after the saturated tick, want 0", s.Len())
 	}
 }
 

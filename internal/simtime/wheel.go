@@ -5,16 +5,32 @@ import (
 	"time"
 )
 
-// Hierarchical timer wheel, the scheduler's event queue.
+// The scheduler's event queue: a sorted inline array for shallow queues in
+// front of a hierarchical timer wheel for deep ones.
 //
-// Virtual time is bucketed into ticks of 2^tickShift ns (~8.2 µs). The
-// wheel has wheelLevels levels of wheelSlots slots each; level l spans
-// 2^(tickShift + wheelBits*(l+1)) ns of virtual time, so the three levels
-// cover ~16.8 ms, ~34.4 s, and ~19.6 h ahead of the cursor. Events
-// beyond the top window sit in a small overflow min-heap. Wide levels
-// (2048 slots) buy fewer cascades per event than a narrower, deeper
-// geometry would: RTC horizons concentrate under tens of seconds, so most
-// events are born at level 0 or 1 and cascade at most once.
+// Shallow queues. An RTC session keeps a handful of timers pending (the
+// pacer, the link, and the capture, feedback and timeline tickers): at
+// most 8 after any push in a 30 s drop session or a fleet session, and
+// at most 16 across the whole figure suite. Up to nearMax pending events
+// sit in a fixed array sorted by (at, seq) with the minimum at the end,
+// so push is an insertion plus a small copy, min reads the last entry,
+// cancel searches at most nearMax ids, and the cursor is not touched at
+// all. The nearMax+1-th pending event spills the array into the wheel,
+// and the queue stays there until Reset, however far it drains: no
+// measured workload spills and then stays shallow, and a one-way switch
+// costs one spill per Reset, never a thrash. The fleet Resets its
+// scheduler for every session, so each recycled session starts in the
+// array. The scheduler picks the mode from the depth it observes;
+// nothing configures it.
+//
+// Deep queues. Virtual time is bucketed into ticks of 2^tickShift ns
+// (~8.2 µs). The wheel has wheelLevels levels of wheelSlots slots each;
+// level l spans 2^(tickShift + wheelBits*(l+1)) ns of virtual time, so the
+// three levels cover ~16.8 ms, ~34.4 s, and ~19.6 h ahead of the cursor.
+// Events beyond the top window sit in a small overflow min-heap. Wide
+// levels (2048 slots) buy fewer cascades per event than a narrower,
+// deeper geometry would: RTC horizons concentrate under tens of seconds,
+// so most events are born at level 0 or 1 and cascade at most once.
 //
 // Placement invariant: an event with deadline tick t lives at the lowest
 // level l whose window contains it — t>>(wheelBits*(l+1)) equals the same
@@ -29,8 +45,8 @@ import (
 // performs no allocation at any point, and the id stores that implement
 // insert, cancel, and cascade unlink take no GC write barriers (the
 // pointer version of these splices was the hottest barrier site in fleet
-// profiles). The slot table itself is pointer-free for the same reason,
-// so the collector never scans it.
+// profiles). The slot table and the shallow-queue array are pointer-free
+// for the same reason, so the collector never scans them.
 //
 // Ordering is exact, not approximate: within a level, slot index order is
 // tick order, and levels are scanned lowest first, so the first occupied
@@ -40,9 +56,9 @@ import (
 // more than one resident, the slot is drained onto a small (at, seq)
 // min-heap of ready events, so a same-instant burst of k events pops in
 // O(log k) apiece rather than rescanning the bag per pop. The FIFO
-// tie-break for same-instant events is the heap's seq order. The wheel
-// therefore fires events in exact (at, seq) order, the order a plain
-// sorted queue would give.
+// tie-break for same-instant events is the heap's seq order. The queue
+// therefore fires events in exact (at, seq) order in both modes, the
+// order a plain sorted queue would give.
 const (
 	tickShift   = 13 // 1 tick = 8.192 µs of virtual time
 	wheelBits   = 11
@@ -50,28 +66,49 @@ const (
 	wheelMask   = wheelSlots - 1
 	wheelLevels = 3
 	wheelWords  = wheelSlots / 64 // 2048-bit occupancy bitmap per level
+
+	// nearMax is the shallow-queue array's capacity: the deepest queue
+	// the figure suite ever holds.
+	nearMax = 16
 )
 
 // Event location tags (event.level). Values 0..wheelLevels-1 are wheel
-// levels; the named tags mark the two heap locations. A record that is
-// not queued anywhere has index == -1 and its level is meaningless.
+// levels; the named tags mark the two heap locations and the
+// shallow-queue array. A record that is not queued anywhere has
+// index == -1 and its level is meaningless.
 const (
 	locOver  int8 = wheelLevels     // overflow heap
 	locReady int8 = wheelLevels + 1 // ready heap (current tick)
+	locNear  int8 = wheelLevels + 2 // shallow-queue array
 )
+
+// nearEntry is one pending event in the shallow-queue array: its deadline
+// and arena id, so the array holds no pointers.
+type nearEntry struct {
+	at time.Duration
+	id int32
+}
 
 // wheelTick converts a deadline to its wheel tick. Deadlines are never
 // negative (schedule panics on past events and the clock starts at zero),
 // so the shift is a plain division by the tick size.
 func wheelTick(at time.Duration) uint64 { return uint64(at) >> tickShift }
 
-// wheel is the hierarchical timer wheel. It is embedded by value in
-// Scheduler; the zero value is ready to use with the cursor at tick zero.
+// wheel is the scheduler's queue: the shallow-queue array and the
+// hierarchical timer wheel behind it. It is embedded by value in
+// Scheduler; the zero value is ready to use, empty and in array mode.
 // Methods take the owning Scheduler to resolve id links against its
 // arena.
 type wheel struct {
-	// cur is the cursor tick. It is always >= the tick of the scheduler's
-	// clock but may run ahead of it: min cascades by advancing the cursor
+	// spilled reports that the queue lives in the wheel; otherwise it
+	// lives in near and the wheel is empty. Only Reset clears it.
+	spilled bool
+	// near holds the pending events in array mode, sorted by (at, seq)
+	// from latest at index 0 to earliest at index count-1.
+	near [nearMax]nearEntry
+	// cur is the cursor tick; it and low mean nothing in array mode. In
+	// wheel mode it is always >= the tick of the scheduler's clock but may
+	// run ahead of it: min cascades by advancing the cursor
 	// to the next occupied slot, which is sound because no event is queued
 	// before that slot. place tolerates the gap by filing an event whose
 	// deadline trails the cursor into the cursor's own slot.
@@ -82,7 +119,7 @@ type wheel struct {
 	// below the bound pull it down, found minima tighten it, and levels
 	// whose whole window lies below it are skipped without a scan.
 	low   uint64
-	count int // queued events across slots, ready heap, and overflow heap
+	count int // queued events: in near, or across slots, ready heap, and overflow heap
 	occ   [wheelLevels][wheelWords]uint64
 	over  eventHeap // events beyond the top level's window
 	// ready stages the residents of the level-0 slot the cursor currently
@@ -94,8 +131,16 @@ type wheel struct {
 	slots [wheelLevels][wheelSlots]int32
 }
 
-// push places ev and counts it.
+// push queues ev and counts it.
 func (w *wheel) push(s *Scheduler, ev *event) {
+	if !w.spilled {
+		if w.count < nearMax {
+			w.nearInsert(ev)
+			w.count++
+			return
+		}
+		w.spill(s)
+	}
 	if t := wheelTick(ev.at); t < w.low {
 		if t < w.cur {
 			t = w.cur // placement clamps to the cursor's slot; so must low
@@ -106,9 +151,49 @@ func (w *wheel) push(s *Scheduler, ev *event) {
 	w.count++
 }
 
+// nearInsert files ev into the array, which must have room. Every push
+// carries the largest seq queued so far, so ev goes after (toward index
+// 0) every entry it ties with: it is earlier than an entry exactly when
+// its deadline is strictly earlier.
+func (w *wheel) nearInsert(ev *event) {
+	n := w.count
+	i := 0
+	for i < n && w.near[i].at > ev.at {
+		i++
+	}
+	copy(w.near[i+1:n+1], w.near[i:n])
+	w.near[i] = nearEntry{at: ev.at, id: ev.id}
+	ev.level = locNear
+	ev.index = 0 // queued marker; the array is searched by id
+}
+
+// nearRemove unqueues the array resident ev for a cancel; pops take
+// popNear instead.
+func (w *wheel) nearRemove(ev *event) {
+	i := w.count - 1
+	for w.near[i].id != ev.id {
+		i--
+	}
+	copy(w.near[i:], w.near[i+1:w.count])
+	ev.index = -1
+}
+
+// spill moves the full array into the empty wheel. The cursor and the low
+// watermark restart at the clock's tick: every pending deadline is at or
+// after it, and nothing else is queued, so the placement invariant holds
+// from the first place on.
+func (w *wheel) spill(s *Scheduler) {
+	w.spilled = true
+	w.cur = wheelTick(s.now)
+	w.low = w.cur
+	for _, e := range w.near[:w.count] {
+		w.place(s, s.evAt(e.id))
+	}
+}
+
 // place files ev at the lowest level whose window contains its deadline,
-// or on the overflow heap. Used by push and by the cascade (which must
-// not touch count). Slot insertion prepends: position in the list carries
+// or on the overflow heap. Used by push, and by spill and the cascade
+// (which must not touch count). Slot insertion prepends: position in the list carries
 // no ordering (order is settled on the ready heap). A deadline that trails the
 // cursor — possible when min has cascaded the cursor ahead of the clock —
 // files into the cursor's own slot, where the next scan is guaranteed to
@@ -144,14 +229,26 @@ func (w *wheel) place(s *Scheduler, ev *event) {
 	w.occ[lvl][slot>>6] |= 1 << (slot & 63)
 }
 
-// remove unqueues ev (which must be queued in this wheel) and uncounts
-// it.
+// popNear unqueues and returns the array's earliest event if its
+// deadline is at or before limit, or returns nil. Array mode only.
+func (w *wheel) popNear(s *Scheduler, limit time.Duration) *event {
+	n := w.count - 1
+	if n < 0 || w.near[n].at > limit {
+		return nil
+	}
+	w.count = n
+	return s.evAt(w.near[n].id)
+}
+
+// remove unqueues ev (which must be queued) and uncounts it.
 func (w *wheel) remove(s *Scheduler, ev *event) {
 	switch ev.level {
 	case locOver:
 		w.over.removeAt(ev.index)
 	case locReady:
 		w.ready.removeAt(ev.index)
+	case locNear:
+		w.nearRemove(ev)
 	default:
 		w.slotRemove(s, ev)
 	}
@@ -178,11 +275,11 @@ func (w *wheel) slotRemove(s *Scheduler, ev *event) {
 	ev.index = -1
 }
 
-// min returns the globally earliest queued event, or nil when empty. The
-// first occupied slot at the lowest occupied level holds it: within a
-// level, slot index order (scanning upward from the low watermark's
-// digit) is tick order, and every event at a higher level is strictly
-// later than every event the current level can hold.
+// min returns the globally earliest queued event in wheel mode, or nil
+// when empty. The first occupied slot at the lowest occupied level holds
+// it: within a level, slot index order (scanning upward from the low
+// watermark's digit) is tick order, and every event at a higher level is
+// strictly later than every event the current level can hold.
 //
 // No slot is ever linearly searched for a minimum. When the first
 // occupied slot sits at a higher level, the cursor is advanced to that
@@ -302,7 +399,7 @@ func (w *wheel) scanOcc(lvl, start int) (int, bool) {
 // idle RunUntil target beyond every deadline, so no queued event can live
 // strictly between the old and new cursor. A target at or behind the
 // cursor is a no-op: the cursor is monotone and may already have
-// cascaded ahead of the clock.
+// cascaded ahead of the clock. Wheel mode only.
 func (w *wheel) advance(s *Scheduler, tick uint64) {
 	if tick <= w.cur {
 		return
@@ -343,10 +440,19 @@ func (w *wheel) drainSlot(s *Scheduler, lvl, slot int) {
 }
 
 // reset cancel-releases every queued event back to the scheduler's free
-// list and returns the wheel to its initial state. Only occupied slots
-// are visited (via the occupancy bitmaps), so reset is O(queued events),
-// not O(total slots).
+// list and returns the queue to its initial state: empty, in array mode.
+// Only occupied slots are visited (via the occupancy bitmaps), so reset is
+// O(queued events), not O(total slots).
 func (w *wheel) reset(s *Scheduler) {
+	if !w.spilled {
+		for _, e := range w.near[:w.count] {
+			ev := s.evAt(e.id)
+			ev.canceledGen = ev.gen
+			s.release(ev)
+		}
+		w.count = 0
+		return
+	}
 	for lvl := range w.slots {
 		for word := range w.occ[lvl] {
 			m := w.occ[lvl][word]
@@ -379,4 +485,5 @@ func (w *wheel) reset(s *Scheduler) {
 	w.cur = 0
 	w.low = 0
 	w.count = 0
+	w.spilled = false
 }
