@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rtclint [-C dir] [-list] [-json] [-fix] [-run a,b] [-baseline file] [-baseline-check] [-write-baseline file] [packages]
+//	rtclint [-C dir] [-list] [-json] [-fix] [-run a,b] [packages]
 //
 // The only supported package pattern is "./..." (the default): the suite
 // always analyzes the whole module, because the invariants it enforces are
@@ -13,11 +13,8 @@
 // maporder, stale //lint:ignore deletion), then re-analyzes and reports
 // what remains. -run restricts the suite to a comma-separated analyzer
 // subset (stale-ignore reporting is disabled under a partial suite).
-// -baseline filters findings through an accepted-debt file so only new
-// findings report; -write-baseline records the current findings as that
-// file; -baseline-check additionally fails (exit 2) when an entry's
-// accepted count exceeds the current finding count — stale debt that
-// should have shrunk with the tree. Output is byte-deterministic:
+// A finding is fixed, or suppressed at its site with
+// //lint:ignore <analyzer> <reason>. Output is byte-deterministic:
 // analyzers are listed sorted by name and findings sorted by (file,
 // line, col, analyzer).
 //
@@ -32,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,11 +51,8 @@ func run(args []string, stdoutW, stderrW io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	fix := fs.Bool("fix", false, "apply suggested fixes, then report remaining findings")
 	runOnly := fs.String("run", "", "comma-separated analyzer subset to run (default: full suite)")
-	baseline := fs.String("baseline", "", "filter findings through this accepted-debt file; only new findings report")
-	baselineCheck := fs.Bool("baseline-check", false, "with -baseline: fail (exit 2) when an entry's accepted-debt count exceeds the current finding count (stale debt; regenerate with -write-baseline)")
-	writeBaseline := fs.String("write-baseline", "", "record current findings to this file and exit clean")
 	fs.Usage = func() {
-		stderr.printf("usage: rtclint [-C dir] [-list] [-json] [-fix] [-run a,b] [-baseline file] [-baseline-check] [-write-baseline file] [./...]\n")
+		stderr.printf("usage: rtclint [-C dir] [-list] [-json] [-fix] [-run a,b] [./...]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -80,8 +75,13 @@ func run(args []string, stdoutW, stderrW io.Writer) int {
 
 	analyzers := lint.Analyzers()
 	if *runOnly != "" {
+		names := strings.Split(*runOnly, ",")
+		if slices.Contains(names, "") {
+			stderr.printf("rtclint: -run %q has an empty analyzer name\n", *runOnly)
+			return 2
+		}
 		var unknown []string
-		analyzers, unknown = lint.Select(strings.Split(*runOnly, ","))
+		analyzers, unknown = lint.Select(names)
 		if len(unknown) > 0 {
 			stderr.printf("rtclint: -run names unknown analyzer(s): %s\n", strings.Join(unknown, ", "))
 			return 2
@@ -129,41 +129,6 @@ func run(args []string, stdoutW, stderrW io.Writer) int {
 
 	for i := range diags {
 		diags[i].Pos.Filename = relTo(root, diags[i].Pos.Filename)
-	}
-	if *writeBaseline != "" {
-		if err := os.WriteFile(*writeBaseline, lint.WriteBaseline(diags), 0o644); err != nil {
-			stderr.printf("rtclint: %v\n", err)
-			return 2
-		}
-		stderr.printf("rtclint: wrote baseline with %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return exitStatus(0, stdout, stderrW)
-	}
-	if *baselineCheck && *baseline == "" {
-		stderr.printf("rtclint: -baseline-check requires -baseline\n")
-		return 2
-	}
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			stderr.printf("rtclint: %v\n", err)
-			return 2
-		}
-		entries, err := lint.ParseBaseline(data)
-		if err != nil {
-			stderr.printf("rtclint: %s: %v\n", *baseline, err)
-			return 2
-		}
-		if *baselineCheck {
-			if stale := lint.StaleBaseline(diags, entries); len(stale) > 0 {
-				for _, e := range stale {
-					stderr.printf("rtclint: stale baseline entry: %s [%s] %q accepts %d finding(s), tree has fewer\n",
-						e.File, e.Analyzer, e.Message, e.Count)
-				}
-				stderr.printf("rtclint: %d stale baseline entr(y/ies) in %s; regenerate with -write-baseline\n", len(stale), *baseline)
-				return 2
-			}
-		}
-		diags = lint.FilterBaseline(diags, entries)
 	}
 	if *jsonOut {
 		printJSON(stdout, diags)

@@ -54,7 +54,7 @@ func Keys(m map[string]int) []string {
 `,
 	"internal/metrics/stale.go": `package metrics
 
-//lint:ignore nowallclock stale by construction
+//lint:ignore transitivepurity stale by construction
 func version() int { return 1 }
 `,
 }
@@ -69,15 +69,14 @@ func TestListByteDeterministic(t *testing.T) {
 		t.Errorf("-list output differs between runs:\n%s\nvs\n%s", out1, out2)
 	}
 	lines := strings.Split(strings.TrimRight(out1, "\n"), "\n")
-	if len(lines) != 15 {
-		t.Errorf("-list printed %d analyzers, want 15:\n%s", len(lines), out1)
+	if len(lines) != 11 {
+		t.Errorf("-list printed %d analyzers, want 11:\n%s", len(lines), out1)
 	}
 	if !sort.StringsAreSorted(lines) {
 		t.Errorf("-list output is not sorted by name:\n%s", out1)
 	}
 	for _, name := range []string{
-		"nowallclock", "seededrand", "floateq", "unitsuffix", "ctorvalidate",
-		"maporder", "rawgo", "errdrop", "importlayer", "hotpathalloc",
+		"floateq", "ctorvalidate", "maporder", "errdrop", "importlayer", "hotpathalloc",
 		"transitivepurity", "globalmut", "shardsafe", "unitflow", "seqarith",
 	} {
 		if !strings.Contains(out1, name) {
@@ -179,11 +178,11 @@ func TestFixEndToEnd(t *testing.T) {
 
 func TestRunSubset(t *testing.T) {
 	dir := writeModule(t, dirtyMetrics)
-	// nowallclock alone: the maporder finding and the stale directive
-	// (full-suite-only) must both vanish; the module looks clean.
-	code, out, _ := runCLI(t, "-C", dir, "-run", "nowallclock")
+	// transitivepurity alone: the maporder finding and the stale
+	// directive (full-suite-only) must both vanish; the module looks clean.
+	code, out, _ := runCLI(t, "-C", dir, "-run", "transitivepurity")
 	if code != 0 || out != "" {
-		t.Errorf("-run nowallclock: exit %d output %q, want clean", code, out)
+		t.Errorf("-run transitivepurity: exit %d output %q, want clean", code, out)
 	}
 	// maporder alone still reports its finding.
 	code, out, _ = runCLI(t, "-C", dir, "-run", "maporder")
@@ -195,105 +194,12 @@ func TestRunSubset(t *testing.T) {
 	if code != 2 || !strings.Contains(stderr, "nosuch") {
 		t.Errorf("-run with unknown name: exit %d stderr %q, want 2 naming nosuch", code, stderr)
 	}
-}
-
-func TestBaselineEndToEnd(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"internal/metrics/m.go": `// Package metrics is a baseline-test fixture.
-package metrics
-
-// shared is deliberate debt recorded in the baseline.
-var shared = map[string]int{}
-`,
-	})
-	baseline := filepath.Join(dir, "lint-baseline.json")
-
-	// Without a baseline the module is dirty.
-	if code, _, _ := runCLI(t, "-C", dir); code != 1 {
-		t.Fatalf("dirty module exit = %d, want 1", code)
-	}
-	// Record the debt.
-	if code, _, stderr := runCLI(t, "-C", dir, "-write-baseline", baseline); code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0; stderr:\n%s", code, stderr)
-	}
-	// Same findings filtered: clean.
-	code, out, _ := runCLI(t, "-C", dir, "-baseline", baseline)
-	if code != 0 || out != "" {
-		t.Fatalf("-baseline run: exit %d output %q, want clean", code, out)
-	}
-	// Golden round trip: rewriting the baseline reproduces the bytes.
-	before, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := runCLI(t, "-C", dir, "-write-baseline", baseline); code != 0 {
-		t.Fatal("second -write-baseline failed")
-	}
-	after, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Errorf("baseline not byte-stable across runs:\n%s\nvs\n%s", before, after)
-	}
-
-	// A NEW finding class still reports through the baseline.
-	extra := filepath.Join(dir, "internal", "metrics", "extra.go")
-	if err := os.WriteFile(extra, []byte("package metrics\n\n// registry is new debt, not in the baseline.\nvar registry []string\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ = runCLI(t, "-C", dir, "-baseline", baseline)
-	if code != 1 || !strings.Contains(out, "registry") || strings.Contains(out, "shared") {
-		t.Errorf("-baseline with new finding: exit %d output %q, want only the registry finding", code, out)
-	}
-
-	// Garbage baseline files are a hard error.
-	if err := os.WriteFile(baseline, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := runCLI(t, "-C", dir, "-baseline", baseline); code != 2 {
-		t.Errorf("garbage baseline exit = %d, want 2", code)
-	}
-}
-
-// TestBaselineCheckStaleDebt: -baseline-check fails the run when the
-// tree has fewer findings than the baseline accepts — paid-down debt
-// must shrink the baseline in the same change.
-func TestBaselineCheckStaleDebt(t *testing.T) {
-	mod := map[string]string{
-		"internal/metrics/m.go": `// Package metrics is a baseline-test fixture.
-package metrics
-
-// shared is deliberate debt recorded in the baseline.
-var shared = map[string]int{}
-`,
-	}
-	dir := writeModule(t, mod)
-	baseline := filepath.Join(dir, "lint-baseline.json")
-
-	if code, _, _ := runCLI(t, "-C", dir, "-baseline-check"); code != 2 {
-		t.Errorf("-baseline-check without -baseline: exit %d, want 2", code)
-	}
-	if code, _, stderr := runCLI(t, "-C", dir, "-write-baseline", baseline); code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0; stderr:\n%s", code, stderr)
-	}
-	// Debt matches the tree: check passes and filtering still applies.
-	code, out, _ := runCLI(t, "-C", dir, "-baseline", baseline, "-baseline-check")
-	if code != 0 || out != "" {
-		t.Fatalf("-baseline-check on matching tree: exit %d output %q, want clean", code, out)
-	}
-	// Pay down the debt without regenerating the baseline: stale, exit 2.
-	clean := filepath.Join(dir, "internal", "metrics", "m.go")
-	if err := os.WriteFile(clean, []byte("// Package metrics is a baseline-test fixture.\npackage metrics\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runCLI(t, "-C", dir, "-baseline", baseline, "-baseline-check")
-	if code != 2 || !strings.Contains(stderr, "stale baseline entry") {
-		t.Errorf("-baseline-check with paid-down debt: exit %d stderr %q, want 2 reporting stale entry", code, stderr)
-	}
-	// Without the check flag, stale debt filters silently (old behavior).
-	if code, _, _ := runCLI(t, "-C", dir, "-baseline", baseline); code != 0 {
-		t.Errorf("-baseline without -baseline-check on stale file: exit %d, want 0", code)
+	// An empty entry (a trailing or lone comma) is its own usage error.
+	for _, spec := range []string{"maporder,", ","} {
+		code, _, stderr := runCLI(t, "-C", dir, "-run", spec)
+		if code != 2 || !strings.Contains(stderr, "empty analyzer name") {
+			t.Errorf("-run %q: exit %d stderr %q, want 2 reporting an empty analyzer name", spec, code, stderr)
+		}
 	}
 }
 

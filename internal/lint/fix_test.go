@@ -134,7 +134,7 @@ func TestFixRoundTrip(t *testing.T) {
 	tmp := t.TempDir()
 	copyTree(t, filepath.Join("testdata", "fix", "src"), tmp)
 
-	analyzers := []*Analyzer{MapOrder, NoWallClock}
+	analyzers := []*Analyzer{MapOrder, TransitivePurity}
 	load := func() ([]Diagnostic, map[string][]byte, *token.FileSet) {
 		loader := NewLoader()
 		pkgs, err := loader.LoadModule(tmp, "fixmod")

@@ -113,24 +113,9 @@ func runOn(t *testing.T, loader *Loader, byPath map[string]*Package, analyzers [
 	checkDiagnostics(t, diags, collectWants(t, loader.Fset, pkgs))
 }
 
-func TestNoWallClockFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{NoWallClock}, "internal/clockfix", "scopecheck")
-}
-
-func TestSeededRandFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{SeededRand}, "internal/randfix", "scopecheck")
-}
-
 func TestFloatEqFixture(t *testing.T) {
 	loader, byPath := loadFixtures(t)
 	runOn(t, loader, byPath, []*Analyzer{FloatEq}, "floateqfix")
-}
-
-func TestUnitSuffixFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{UnitSuffix}, "unitfix")
 }
 
 func TestCtorValidateFixture(t *testing.T) {
@@ -141,11 +126,6 @@ func TestCtorValidateFixture(t *testing.T) {
 func TestMapOrderFixture(t *testing.T) {
 	loader, byPath := loadFixtures(t)
 	runOn(t, loader, byPath, []*Analyzer{MapOrder}, "internal/maporderfix")
-}
-
-func TestRawGoFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{RawGo}, "internal/experiments", "scopecheck")
 }
 
 func TestErrDropFixture(t *testing.T) {
@@ -177,12 +157,33 @@ func TestHotPathAllocFixture(t *testing.T) {
 		"internal/netem", "internal/simtime")
 }
 
-// TestTransitivePurityFixture: internal/core is an entry-point package;
-// sinks live one package away in puritydep, so every finding crosses a
-// package boundary and carries a taint path.
+// TestTransitivePurityFixture: internal/core is an entry-point package
+// whose sinks sit one package away in puritydep, so those findings cross
+// a package boundary and carry a taint path; puritydep is outside
+// internal/, so its unreachable sink stays silent.
 func TestTransitivePurityFixture(t *testing.T) {
 	loader, byPath := loadFixtures(t)
 	runOn(t, loader, byPath, []*Analyzer{TransitivePurity}, "internal/core", "puritydep")
+}
+
+// TestNoWallClockFixture, TestSeededRandFixture and TestRawGoFixture cover
+// transitivepurity's per-site walk: clockfix, randfix and experiments are
+// internal packages no entry point reaches, so each wall-clock, unseeded
+// randomness or raw-goroutine site is reported without a taint path.
+// scopecheck is neither internal nor reachable and must stay silent.
+func TestNoWallClockFixture(t *testing.T) {
+	loader, byPath := loadFixtures(t)
+	runOn(t, loader, byPath, []*Analyzer{TransitivePurity}, "internal/clockfix", "scopecheck")
+}
+
+func TestSeededRandFixture(t *testing.T) {
+	loader, byPath := loadFixtures(t)
+	runOn(t, loader, byPath, []*Analyzer{TransitivePurity}, "internal/randfix", "scopecheck")
+}
+
+func TestRawGoFixture(t *testing.T) {
+	loader, byPath := loadFixtures(t)
+	runOn(t, loader, byPath, []*Analyzer{TransitivePurity}, "internal/experiments", "scopecheck")
 }
 
 func TestGlobalMutFixture(t *testing.T) {
@@ -202,6 +203,14 @@ func TestShardSafeFixture(t *testing.T) {
 func TestUnitFlowFixture(t *testing.T) {
 	loader, byPath := loadFixtures(t)
 	runOn(t, loader, byPath, []*Analyzer{UnitFlow}, "internal/units", "unitflowfix", "scopecheck")
+}
+
+// TestUnitSuffixFixture: unitfix holds single-expression mismatches
+// between bare suffixed names, which unitflow reports without any
+// declared unit types in play.
+func TestUnitSuffixFixture(t *testing.T) {
+	loader, byPath := loadFixtures(t)
+	runOn(t, loader, byPath, []*Analyzer{UnitFlow}, "unitfix")
 }
 
 // TestSeqArithFixture: the fixture rtp package hosts the blessed Seq*
@@ -259,6 +268,7 @@ func TestFixtureWantsPresent(t *testing.T) {
 	}
 	for _, path := range []string{
 		"fixture/internal/clockfix",
+		"fixture/internal/core",
 		"fixture/internal/randfix",
 		"fixture/internal/ignorefix",
 		"fixture/internal/maporderfix",

@@ -11,7 +11,7 @@ import "strings"
 // away.
 var globalMutAllow = map[string]string{
 	// The lint package itself is tooling, never linked into a simulation
-	// shard; its analyzer registrations (var NoWallClock = &Analyzer{...})
+	// shard; its analyzer registrations (var FloatEq = &Analyzer{...})
 	// are write-once pointers by construction.
 	"internal/lint": "analyzer registry: tooling package, never part of a simulation shard",
 

@@ -14,7 +14,7 @@ import (
 // clock authority, and stats — imports nothing module-internal.
 //
 // Only module-internal imports are checked; the standard library is
-// always allowed (wall-clock use is nowallclock's job). A module package
+// always allowed (wall-clock use is transitivepurity's job). A module package
 // missing from the table is itself a finding, so the table cannot
 // silently drift from the tree.
 var ImportLayer = &Analyzer{

@@ -32,7 +32,7 @@ import "strings"
 // model packages can never see the session harness, the experiment
 // drivers, or plotting; internal/... can never import cmd/...; and the
 // foundation layer imports nothing module-internal, which pins simtime —
-// the module's only clock authority — at the root of the DAG (nowallclock
+// the module's only clock authority — at the root of the DAG (transitivepurity
 // forbids every other clock source).
 
 // Layer is one stratum of the module's import DAG.

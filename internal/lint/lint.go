@@ -1,10 +1,13 @@
 // Package lint is a repo-specific static-analysis suite. It machine-checks
-// the invariants that keep this reproduction trustworthy: all time flows
-// through the virtual clock (determinism), all randomness is seeded
-// (reproducibility), floating-point quantities are never compared with ==,
-// unit-suffixed identifiers are never mixed across units (the classic
-// kbps-vs-bps rate-control bug), and validated config structs are not
-// constructed in ways that bypass validation.
+// the invariants that keep this reproduction trustworthy, one analyzer per
+// invariant: a session is a pure function of (config, seed), so no wall
+// clock, global math/rand draw, or ad-hoc goroutine sits in an internal/
+// package or is reachable from the simulation entry points
+// (transitivepurity); rate, size, and time quantities never mix units, the
+// classic kbps-vs-bps rate-control bug (unitflow); floating-point
+// quantities are never compared with == (floateq); and validated config
+// structs are not constructed in ways that bypass validation
+// (ctorvalidate).
 //
 // The driver is built on go/parser and go/types only — no dependencies
 // outside the standard library, matching the module's zero-dependency
@@ -88,6 +91,18 @@ func relPath(module, path string) string {
 	return path
 }
 
+// unparen strips redundant parentheses. Shared by analyzers that reason
+// about "bare" named operands.
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
 // Command reports whether the package lives under the module's cmd/ tree.
 func (p *Pass) Command() bool {
 	rel := p.Rel()
@@ -121,20 +136,15 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Analyzers returns the full suite in stable order: the five file-local
-// analyzers from the original suite, the four cross-package ones, the
-// hot-path advisory check, the three interprocedural provers, then the
-// two dataflow passes (dimensional unit flow and wrap-aware sequence
-// arithmetic).
+// Analyzers returns the full suite in stable order: the file-local and
+// cross-package checks, the hot-path advisory check, the three
+// interprocedural provers, then the two dataflow passes (dimensional unit
+// flow and wrap-aware sequence arithmetic).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NoWallClock,
-		SeededRand,
 		FloatEq,
-		UnitSuffix,
 		CtorValidate,
 		MapOrder,
-		RawGo,
 		ErrDrop,
 		ImportLayer,
 		HotPathAlloc,

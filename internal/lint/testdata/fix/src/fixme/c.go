@@ -1,6 +1,6 @@
 package fixme
 
-//lint:ignore nowallclock nothing here uses the clock anymore
+//lint:ignore transitivepurity nothing here uses the clock anymore
 func version() int {
 	return 3
 }

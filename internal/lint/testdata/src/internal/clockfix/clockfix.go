@@ -1,5 +1,6 @@
-// Package clockfix is a lint fixture: wall-clock uses that nowallclock
-// must flag, plus virtual-time uses it must not.
+// Package clockfix is a lint fixture: wall-clock uses that
+// transitivepurity's per-site walk must flag in an internal package no
+// entry point reaches, plus virtual-time uses it must not.
 package clockfix
 
 import (
@@ -7,6 +8,10 @@ import (
 
 	wall "time"
 )
+
+// started sits in a package-level initializer, which the call graph
+// attributes to no function: only the per-site walk sees it.
+var started = time.Now() // want `wall-clock time\.Now in internal package`
 
 func bad() time.Time {
 	t := time.Now()              // want `wall-clock time\.Now`

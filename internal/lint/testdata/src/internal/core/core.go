@@ -1,7 +1,8 @@
 // Package core is the transitivepurity fixture: it sits at an
 // entry-point path (internal/core), so every sink transitively reachable
 // from its exported API must be flagged — with the taint path — no
-// matter which package the sink lives in.
+// matter which package the sink lives in. It is also an internal package,
+// so a sink here that nothing reaches is still flagged, without a path.
 package core
 
 import (
@@ -30,6 +31,14 @@ func Draw(s Sampler) float64 { return s.Sample() }
 // inside Fan is reachable even though Spawn never calls it directly.
 func Spawn() { puritydep.Kick(puritydep.Fan) }
 
-// hidden is unexported and called by nothing exported: its direct sink
-// must stay unreported (reachability, not mere presence).
-func hidden() int64 { return time.Now().UnixNano() }
+// Tick reaches a wall-clock read inside this internal package: the site
+// is in both scopes and gets exactly one finding, with its path.
+func Tick() int64 { return tick() }
+
+func tick() int64 {
+	return time.Now().UnixNano() // want `^wall-clock time\.Now reachable from entry point internal/core\.Tick \(path: internal/core\.Tick -> internal/core\.tick @core\.go:\d+ -> time\.Now @core\.go:\d+\)`
+}
+
+// hidden is unexported and called by nothing exported, so no path
+// reaches it; the per-site walk still flags it because core is internal.
+func hidden() int64 { return time.Now().UnixNano() } // want `^wall-clock time\.Now in internal package: all time must flow through the internal/simtime virtual clock$`

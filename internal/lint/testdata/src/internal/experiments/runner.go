@@ -1,6 +1,6 @@
 // Package experiments mirrors the production worker pool's location:
-// runner.go is the one file in internal/... where rawgo permits go
-// statements.
+// runner.go is the one file in internal/... where transitivepurity permits
+// go statements.
 package experiments
 
 func fanOut(jobs []func(), done chan struct{}) {

@@ -10,11 +10,11 @@ package ignorefix
 import "time"
 
 func suppressedSameLine() time.Time {
-	return time.Now() //lint:ignore nowallclock fixture exercises same-line suppression
+	return time.Now() //lint:ignore transitivepurity fixture exercises same-line suppression
 }
 
 func suppressedLineAbove() {
-	//lint:ignore nowallclock fixture exercises previous-line suppression
+	//lint:ignore transitivepurity fixture exercises previous-line suppression
 	time.Sleep(time.Millisecond)
 }
 
@@ -23,6 +23,6 @@ func unsuppressed() time.Time {
 }
 
 func wrongAnalyzer(a, b float64) bool {
-	//lint:ignore nowallclock directive names the wrong analyzer
+	//lint:ignore transitivepurity directive names the wrong analyzer
 	return a == b // want `== between floating-point operands`
 }

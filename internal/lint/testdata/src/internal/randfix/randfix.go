@@ -1,5 +1,6 @@
 // Package randfix is a lint fixture: global math/rand draws that
-// seededrand must flag, plus seeded constructor uses it must not.
+// transitivepurity's per-site walk must flag, plus seeded constructor uses
+// it must not.
 package randfix
 
 import "math/rand"

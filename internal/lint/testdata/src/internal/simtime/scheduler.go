@@ -2,8 +2,8 @@ package simtime
 
 // Scheduler mirrors the real scheduler's event API closely enough for the
 // hotpathalloc fixture: same method names and callback shapes, int64
-// stand-ins for time.Duration so the fixture stays outside nowallclock's
-// and unitsuffix's concerns.
+// stand-ins for time.Duration so the fixture stays outside transitivepurity's
+// and unitflow's concerns.
 type Scheduler struct{ now int64 }
 
 // Event mirrors the real value handle.

@@ -1,8 +1,7 @@
 // Package puritydep holds the sinks for the transitivepurity fixture,
 // one package removed from the entry points in internal/core. It lives
-// outside internal/ so the intraprocedural analyzers (nowallclock,
-// seededrand, rawgo) stay silent and only the interprocedural prover
-// reports here.
+// outside internal/, so the per-site walk stays silent and only sinks an
+// entry point reaches are reported here.
 package puritydep
 
 import (
@@ -30,6 +29,10 @@ func (Dice) Sample() float64 {
 func Fan() {
 	go func() {}() // want `goroutine spawn reachable from entry point internal/core\.Spawn`
 }
+
+// hidden is unexported and called by nothing: outside internal/, an
+// unreachable sink stays unreported (reachability, not mere presence).
+func hidden() int64 { return time.Now().UnixNano() }
 
 // Kick receives a callback; calling a func-typed parameter adds no edge,
 // the ref edge at the Spawn call site is what reaches Fan.

@@ -1,7 +1,7 @@
 // Package scopecheck is a lint fixture that lives OUTSIDE any internal/
-// or cmd/ tree: nowallclock, seededrand, rawgo, and errdrop must stay
-// silent here even though it uses the wall clock, the global RNG, a raw
-// goroutine, and a discarded error.
+// or cmd/ tree and that no entry point reaches: transitivepurity and
+// errdrop must stay silent here even though it uses the wall clock, the
+// global RNG, a raw goroutine, and a discarded error.
 package scopecheck
 
 import (

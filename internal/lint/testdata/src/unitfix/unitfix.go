@@ -1,5 +1,5 @@
 // Package unitfix is a lint fixture: identifier pairs with mismatched
-// unit suffixes that unitsuffix must flag, plus same-unit and
+// unit suffixes that unitflow must flag, plus same-unit and
 // explicitly-converted forms it must not.
 package unitfix
 

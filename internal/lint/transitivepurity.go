@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"path/filepath"
@@ -9,30 +10,97 @@ import (
 	"strings"
 )
 
-// TransitivePurity escalates the intraprocedural determinism analyzers
-// (nowallclock, seededrand, rawgo) to a whole-module reachability proof:
-// no function reachable from the simulation entry points — the exported
-// API of internal/session, internal/core, and internal/experiments — may
-// reach a wall-clock read, a global math/rand draw, or a goroutine spawn,
-// no matter how many calls deep it is buried or which package it lives
-// in. This is the invariant the fleet-scale scheduler needs: a session is
-// only a shard-safe unit of work if its entire dynamic extent is a pure
-// function of (config, seed).
+// TransitivePurity keeps a session a pure function of (config, seed). It
+// reports every wall-clock read, global math/rand draw, and goroutine
+// spawn outside the experiments worker pool once, if the site is in
+// either of two scopes:
 //
-// Each finding is positioned at the offending call (or go statement) and
-// prints the taint path from an entry point, one call edge per hop with
-// the call-site location, so a violation two packages away is still a
-// one-line diagnosis.
+//   - reachable: the module call graph reaches the site from the exported
+//     API of an entry package (purityEntryPkgs: internal/core,
+//     internal/experiments, internal/fleet, internal/scenario,
+//     internal/session), in any module package and however many calls
+//     deep. The finding prints the taint path from the entry point, one
+//     call edge per hop with the call-site location, so a violation two
+//     packages away is still a one-line diagnosis. This is the invariant
+//     the fleet scheduler needs: a session is only a shard-safe unit of
+//     work if its entire dynamic extent is pure.
+//   - internal: the site is in an internal/ package, found by a per-site
+//     walk over identifier uses and go statements. This walk catches what
+//     the call graph attributes to no function, such as a package-level
+//     `var t0 = time.Now()`, and code no entry point reaches yet. The
+//     finding has no path.
+//
+// A site in both scopes is reported once, with its path. Matching goes
+// through go/types, so import renames and dot-imports are caught and
+// same-named local identifiers are not.
 var TransitivePurity = &Analyzer{
 	Name: "transitivepurity",
-	Doc: "prove no wall clock, unseeded rand, or goroutine spawn is reachable " +
-		"from the session/core/experiments entry points (taint path per finding)",
+	Doc: "forbid wall clock, unseeded rand, and goroutine spawns in internal packages " +
+		"and anywhere reachable from the entry packages (taint path per reachable finding)",
 	Run: runTransitivePurity,
 }
 
+// wallClockFuncs are the "time" package functions that read or wait on the
+// real clock. time.Duration arithmetic and formatting stay allowed.
+var wallClockFuncs = map[string]bool{
+	"Now":       true,
+	"Sleep":     true,
+	"After":     true,
+	"AfterFunc": true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
+	"Since":     true,
+	"Until":     true,
+}
+
+// globalRandFuncs are the math/rand (and math/rand/v2) package-level
+// functions that draw from the shared global source. Constructors (New,
+// NewSource, NewZipf) stay allowed: internal/stats wraps them to build
+// per-component streams.
+var globalRandFuncs = map[string]bool{
+	"Int":         true,
+	"Intn":        true,
+	"Int31":       true,
+	"Int31n":      true,
+	"Int63":       true,
+	"Int63n":      true,
+	"IntN":        true, // math/rand/v2 spellings
+	"Int32":       true,
+	"Int32N":      true,
+	"Int64":       true,
+	"Int64N":      true,
+	"N":           true,
+	"Uint":        true,
+	"Uint32":      true,
+	"Uint32N":     true,
+	"Uint64":      true,
+	"Uint64N":     true,
+	"UintN":       true,
+	"Float32":     true,
+	"Float64":     true,
+	"ExpFloat64":  true,
+	"NormFloat64": true,
+	"Perm":        true,
+	"Shuffle":     true,
+	"Read":        true,
+	"Seed":        true,
+}
+
+// spawnExemptPkg and spawnExemptFile name the one file allowed to spawn
+// goroutines: the deterministic worker pool, which keys results by cell
+// index so parallel output stays byte-identical to sequential.
+const (
+	spawnExemptPkg  = "internal/experiments"
+	spawnExemptFile = "runner.go"
+)
+
+// spawnDetail is the remediation clause of every goroutine finding.
+const spawnDetail = "route concurrency through the deterministic experiments.Runner worker pool"
+
 // purityEntryPkgs are the module-relative packages whose exported API
-// forms the entry-point set. These are the packages cmd/rtcfleet will
-// schedule as units of work.
+// forms the entry-point set: the packages that build, run, and schedule
+// sessions as units of work.
 var purityEntryPkgs = map[string]bool{
 	"internal/core":        true,
 	"internal/experiments": true,
@@ -55,14 +123,39 @@ type purityResult struct {
 
 func runTransitivePurity(pass *Pass) {
 	prog := pass.Prog
-	if prog == nil {
-		return
-	}
 	if prog.purity == nil {
 		prog.purity = computePurity(prog)
 	}
+	reached := make(map[token.Pos]bool)
 	for _, f := range prog.purity.byPkg[pass.Path] {
+		reached[f.pos] = true
 		pass.Reportf(f.pos, "%s", f.msg)
+	}
+	if !pass.Internal() {
+		return
+	}
+	report := func(pos token.Pos, kind, detail string) {
+		if !reached[pos] {
+			pass.Reportf(pos, "%s in internal package: %s", kind, detail)
+		}
+	}
+	for ident, obj := range pass.Info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			if kind, detail := puritySink(fn); kind != "" {
+				report(ident.Pos(), kind, detail)
+			}
+		}
+	}
+	for _, f := range pass.Files {
+		if spawnExempt(pass.Rel(), pass.Fset.Position(f.Pos()).Filename) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				report(g.Pos(), "goroutine spawn", spawnDetail)
+			}
+			return true
+		})
 	}
 }
 
@@ -131,14 +224,14 @@ func computePurity(prog *Program) *purityResult {
 					detail))
 		}
 		for _, pos := range n.Spawns {
-			if puritySpawnExempt(prog, g, n, pos) {
+			if spawnExempt(prog.rel(n.Pkg), g.fset.Position(pos).Filename) {
 				continue
 			}
 			res.add(n, pos,
 				fmt.Sprintf("goroutine spawn reachable from entry point %s%s: %s",
 					purityRootName(g, parent, n),
 					purityPath(g, parent, n, fmt.Sprintf("go statement @%s", purityLoc(g, pos))),
-					"route concurrency through the deterministic experiments.Runner worker pool"))
+					spawnDetail))
 		}
 	}
 	return res
@@ -195,14 +288,10 @@ func puritySink(fn *types.Func) (kind, detail string) {
 	return "", ""
 }
 
-// puritySpawnExempt mirrors rawgo's exemption: the deterministic worker
-// pool itself (internal/experiments/runner.go) is the one sanctioned
-// goroutine source.
-func puritySpawnExempt(prog *Program, g *CallGraph, n *CGNode, pos token.Pos) bool {
-	if n.Pkg == nil || prog.rel(n.Pkg) != rawGoExemptPkg {
-		return false
-	}
-	return filepath.Base(g.fset.Position(pos).Filename) == rawGoExemptFile
+// spawnExempt reports whether a go statement in the named file of the
+// module-relative package rel sits in the sanctioned worker pool.
+func spawnExempt(rel, filename string) bool {
+	return rel == spawnExemptPkg && filepath.Base(filename) == spawnExemptFile
 }
 
 // purityRootName names the entry point whose BFS tree contains n.

@@ -8,20 +8,31 @@ import (
 	"go/types"
 )
 
-// UnitFlow is the dimensional companion to unitsuffix: where unitsuffix
-// checks bare suffixed names at a single expression, unitflow infers a
-// unit for every const, field, param, and local it can — from declared
-// internal/units types (Bits, Bytes, BitsPerSec) and from the unitsuffix
-// naming convention — and propagates the inference through assignments,
-// additive arithmetic, composite literals, and call boundaries over the
-// shared memoized Program. A quantity that loses its suffixed name two
-// assignments before the buggy expression is still caught.
+// UnitFlow is the suite's one unit check. It infers a unit for every
+// const, field, param, and local it can — from declared internal/units
+// types (Bits, Bytes, BitsPerSec) and from the name-suffix convention —
+// and propagates the inference through assignments, additive arithmetic,
+// composite literals, and call boundaries over the shared memoized
+// Program. A quantity that loses its suffixed name two assignments before
+// the buggy expression is still caught, and so is the one-line classic
+// (`targetKbps = estimateBps` is off by 1000x and crashes nothing).
+//
+// Recognized suffix families (repo convention: "Bps" means bits per
+// second, matching trace.Point.Bps; "KBps"/"MBps" mean bytes per second):
+//
+//	data rate: bps/Bps, Kbps/kbps, Mbps/mbps, Gbps/gbps, KBps, MBps
+//	data size: Bits/bits, Bytes/bytes
+//	time:      Ns/ns, Us/us, Ms/ms, Sec/Secs/Seconds (and _sec forms)
+//
+// Suffixes differing only in scale within one family (Ms vs Sec) and
+// suffixes from different families (Ms vs Kbps) are both mismatches.
 //
 // Flagged (see DESIGN.md §13 for the lattice and conventions):
 //
 //   - mixed-unit + / - / comparisons (bits meeting bytes, ms meeting
 //     seconds, a rate meeting a size);
-//   - assignments and call arguments whose inferred units disagree;
+//   - assignments, declarations, struct literal fields, and call
+//     arguments whose inferred units disagree;
 //   - multiplying two united quantities — the result's unit is outside
 //     the lattice, so the product must go through a conversion helper
 //     (units.BitsPerSec.Scale, DurationToSend, Over) or an explicit
@@ -40,6 +51,75 @@ var UnitFlow = &Analyzer{
 	Doc: "infer units from internal/units types and name suffixes, propagate through " +
 		"assignments/calls, and flag mixed-unit arithmetic and undressed literals",
 	Run: runUnitFlow,
+}
+
+// unit is a dimension plus a scale within that dimension (bits for data,
+// nanoseconds for time). Two units are compatible only if identical.
+type unit struct {
+	dim    string
+	scale  float64
+	pretty string
+}
+
+// unitSuffixes is ordered longest-first so "Kbps" wins over "bps" and
+// "MBps" over "Bps".
+var unitSuffixes = []struct {
+	text string
+	unit unit
+}{
+	{"Seconds", unit{"time", 1e9, "seconds"}},
+	{"seconds", unit{"time", 1e9, "seconds"}},
+	{"Bytes", unit{"size", 8, "bytes"}},
+	{"bytes", unit{"size", 8, "bytes"}},
+	{"Bits", unit{"size", 1, "bits"}},
+	{"bits", unit{"size", 1, "bits"}},
+	{"Secs", unit{"time", 1e9, "seconds"}},
+	{"secs", unit{"time", 1e9, "seconds"}},
+	{"Kbps", unit{"rate", 1e3, "kilobits/s"}},
+	{"kbps", unit{"rate", 1e3, "kilobits/s"}},
+	{"Mbps", unit{"rate", 1e6, "megabits/s"}},
+	{"mbps", unit{"rate", 1e6, "megabits/s"}},
+	{"Gbps", unit{"rate", 1e9, "gigabits/s"}},
+	{"gbps", unit{"rate", 1e9, "gigabits/s"}},
+	{"KBps", unit{"rate", 8e3, "kilobytes/s"}},
+	{"MBps", unit{"rate", 8e6, "megabytes/s"}},
+	{"Sec", unit{"time", 1e9, "seconds"}},
+	{"sec", unit{"time", 1e9, "seconds"}},
+	{"Bps", unit{"rate", 1, "bits/s"}},
+	{"bps", unit{"rate", 1, "bits/s"}},
+	{"Ns", unit{"time", 1, "nanoseconds"}},
+	{"ns", unit{"time", 1, "nanoseconds"}},
+	{"Us", unit{"time", 1e3, "microseconds"}},
+	{"us", unit{"time", 1e3, "microseconds"}},
+	{"Ms", unit{"time", 1e6, "milliseconds"}},
+	{"ms", unit{"time", 1e6, "milliseconds"}},
+}
+
+// suffixUnit extracts the unit suffix of an identifier name, if any. An
+// uppercase-initial suffix matches at a camelCase or snake_case boundary
+// ("delayMs", "delay_Ms"); a lowercase-initial suffix only after an
+// underscore ("delay_ms"), so ordinary words ("alarms", "orbits") never
+// match.
+func suffixUnit(name string) (unit, string, bool) {
+	for _, s := range unitSuffixes {
+		t := s.text
+		if len(name) < len(t) || name[len(name)-len(t):] != t {
+			continue
+		}
+		if len(name) == len(t) {
+			return s.unit, t, true
+		}
+		prev := name[len(name)-len(t)-1]
+		upperInitial := t[0] >= 'A' && t[0] <= 'Z'
+		if upperInitial {
+			if prev == '_' || (prev >= 'a' && prev <= 'z') || (prev >= '0' && prev <= '9') {
+				return s.unit, t, true
+			}
+		} else if prev == '_' {
+			return s.unit, t, true
+		}
+	}
+	return unit{}, "", false
 }
 
 // unitFinding is one computed violation bucketed by owning package.
@@ -367,6 +447,20 @@ func (inf *unitInference) reportFile(res *unitFlowResult, pkg *Package, f *ast.F
 			case token.ASSIGN, token.DEFINE, token.ADD_ASSIGN, token.SUB_ASSIGN:
 				for i := range n.Lhs {
 					checkAssign(n.Rhs[i].Pos(), "assignment", n.Lhs[i], n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i := range n.Names {
+					checkAssign(n.Values[i].Pos(), "declaration", n.Names[i], n.Values[i])
+				}
+			}
+		case *ast.KeyValueExpr:
+			// Struct literal fields only: a map literal's key and value
+			// are different quantities.
+			if key, ok := n.Key.(*ast.Ident); ok {
+				if field, ok := info.Uses[key].(*types.Var); ok && field.IsField() {
+					checkAssign(n.Value.Pos(), "composite literal field", key, n.Value)
 				}
 			}
 		case *ast.BinaryExpr:
