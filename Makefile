@@ -101,18 +101,19 @@ bench-parallel:
 
 # Fast allocation- and complexity-regression gate for CI: run the
 # allocation budget tests (AllocsPerRun gates per layer, the
-# whole-session marginal-bytes gates with and without NACK, and the
-# fleet's bytes per recycled session), the scheduler complexity tests
-# (Step at 16k vs 1k standing timers, cancel-and-replace at 4k vs 256
-# pending events, each measured in one process and bounded at 2x, where
-# an O(n) walk of the queue shows up at the depth ratio), then run the
-# hot-path micro-benchmarks at one iteration each as a compile-and-run
-# check. Nothing compares ns/op across hosts: end-to-end speed is
-# rtcbench's job (cmd/rtcbench/README.md).
+# whole-session marginal-bytes gates with and without NACK, the fleet's
+# bytes per recycled session and the experiment runner's bytes per cell
+# on a warm worker), the complexity tests (scheduler Step at 16k vs 1k
+# standing timers, cancel-and-replace at 4k vs 256 pending events, and
+# retransmission-buffer Store at 4096 vs 64 packets, each measured in one
+# process and bounded at 2x, where an O(n) walk shows up at the size
+# ratio), then run the hot-path micro-benchmarks at one iteration each
+# as a compile-and-run check. Nothing compares ns/op across hosts:
+# end-to-end speed is rtcbench's job (cmd/rtcbench/README.md).
 bench-smoke:
-	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|CostIndependentOfDepth' -v \
+	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|AllocPerCell|CostIndependentOfDepth|CostIndependentOfCapacity' -v \
 		./internal/simtime ./internal/netem ./internal/rtp \
-		./internal/session ./internal/stats ./internal/fleet
+		./internal/session ./internal/stats ./internal/fleet ./internal/experiments
 	$(GO) test -run='^$$' -bench='BenchmarkScheduler|BenchmarkLinkSaturated|BenchmarkPacketizeReuse' \
 		-benchtime=1x -benchmem ./internal/simtime ./internal/netem ./internal/rtp
 

@@ -1,0 +1,51 @@
+package experiments
+
+import (
+	"runtime"
+	"testing"
+)
+
+// cellAllocBudget bounds the heap bytes one more drop cell allocates on a
+// warm worker. The worker's shell keeps the session's ledger, timeline,
+// packet slabs, PRNG sources, rings and windows, so what a cell still
+// allocates is its summaries' sample buffers — the whole-session
+// SummarizeAll and the post-drop Summarize size two float64 slices per
+// frame each, about 17 KB — plus the compiled drop path and the
+// controller (~2 KB): about 20 KB. A fresh session per cell costs about
+// 230 KB. Raise the budget only with a note of what allocates per cell
+// and why the shell cannot keep it.
+const cellAllocBudget = 32 << 10
+
+// table1Alloc returns the bytes a sequential Table 1 over seeds
+// allocates, the least of three runs so a stray runtime allocation cannot
+// fail the gate.
+func table1Alloc(seeds []int64) uint64 {
+	r := &Runner{Workers: 1}
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Table1(seeds)
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestRunnerAllocPerCell gates the marginal allocation of an experiment
+// cell: the difference between a two-seed and a one-seed sequential
+// Table 1, per added cell. The worker's one-off shell and scheduler and
+// the experiment's result slices cancel out, so what remains is what each
+// drop cell costs once its worker is warm.
+func TestRunnerAllocPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	one, two := table1Alloc([]int64{1}), table1Alloc([]int64{1, 2})
+	cells := len(DropMatrix()) * 2
+	perCell := (float64(two) - float64(one)) / float64(cells)
+	t.Logf("%d cells %d B, %d cells %d B, marginal %.0f B per cell", cells, one, 2*cells, two, perCell)
+	if perCell > cellAllocBudget {
+		t.Fatalf("a drop cell allocates %.0f B, budget %d", perCell, cellAllocBudget)
+	}
+}

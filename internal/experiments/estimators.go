@@ -64,7 +64,7 @@ func (r *Runner) Figure8(seeds []int64) []Figure8Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure8 %s seed=%d", estimators[c.estimator].name, c.seed)
-	}, func(i int) sample {
+	}, func(w *worker, i int) sample {
 		c := cells[i]
 		e := estimators[c.estimator]
 		cfg := session.Config{
@@ -82,7 +82,7 @@ func (r *Runner) Figure8(seeds []int64) []Figure8Row {
 		if err := cfg.Validate(); err != nil {
 			panic(fmt.Sprintf("experiments: bad figure8 config: %v", err))
 		}
-		res := session.Run(cfg)
+		res := w.run(cfg)
 		post := metrics.Summarize(res.Records, dropAt, dropAt+5*time.Second, res.FrameInterval)
 		late := metrics.Summarize(res.Records, 20*time.Second, 30*time.Second, res.FrameInterval)
 		return sample{

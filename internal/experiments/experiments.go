@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -155,9 +156,10 @@ func (s DropScenario) path() scenario.Path {
 	return mustCompile(scenario.StepDrop(s.Before, s.After, s.DropAt, 20*time.Second), scenario.CompileConfig{})
 }
 
-// runDrop executes one drop scenario under one controller kind.
-func (r *Runner) runDrop(sc DropScenario, kind ControllerKind, seed int64) session.Result {
-	return session.Run(buildConfig(sc.path(), sc.Content, kind, seed, sc.DropAt+20*time.Second, core.AdaptiveConfig{}))
+// runDrop executes one drop scenario under one controller kind in the
+// worker's shell; the Result is borrowed (see worker.run).
+func (w *worker) runDrop(sc DropScenario, kind ControllerKind, seed int64) session.Result {
+	return w.run(buildConfig(sc.path(), sc.Content, kind, seed, sc.DropAt+20*time.Second, core.AdaptiveConfig{}))
 }
 
 // PostDropWindow is the analysis window after the drop used across
@@ -210,9 +212,9 @@ func (r *Runner) Table1(seeds []int64) []Table1Row {
 	p95s := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("table1 %s %s seed=%d", c.sc, c.kind, c.seed)
-	}, func(i int) float64 {
+	}, func(w *worker, i int) float64 {
 		c := cells[i]
-		return postDrop(c.sc, r.runDrop(c.sc, c.kind, c.seed)).P95NetDelay.Seconds()
+		return postDrop(c.sc, w.runDrop(c.sc, c.kind, c.seed)).P95NetDelay.Seconds()
 	})
 
 	var rows []Table1Row
@@ -308,9 +310,9 @@ func (r *Runner) Table2(seeds []int64) []Table2Row {
 	reports := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("table2 %s %s seed=%d", c.sc, c.kind, c.seed)
-	}, func(i int) ssims {
+	}, func(w *worker, i int) ssims {
 		c := cells[i]
-		rep := r.runDrop(c.sc, c.kind, c.seed).Report
+		rep := w.runDrop(c.sc, c.kind, c.seed).Report
 		return ssims{enc: rep.EncodedSSIM, disp: rep.MeanSSIM}
 	})
 
@@ -389,10 +391,10 @@ func (r *Runner) Figure1(seed int64) []Figure1Series {
 	kinds := []ControllerKind{KindNative, KindAdaptive}
 	return mapCells(r, len(kinds), func(i int) string {
 		return fmt.Sprintf("figure1 %s seed=%d", kinds[i], seed)
-	}, func(i int) Figure1Series {
-		res := r.runDrop(sc, kinds[i], seed)
+	}, func(w *worker, i int) Figure1Series {
+		res := w.runDrop(sc, kinds[i], seed)
 		x, y := metrics.DelaySeries(res.Records)
-		return Figure1Series{Kind: kinds[i], X: x, Y: y, Timeline: res.Timeline}
+		return Figure1Series{Kind: kinds[i], X: x, Y: y, Timeline: slices.Clone(res.Timeline)}
 	})
 }
 

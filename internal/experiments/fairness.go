@@ -75,7 +75,7 @@ func (r *Runner) Figure7(seeds []int64) []Figure7Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure7 %s seed=%d", c.pairing.name, c.seed)
-	}, func(i int) sample {
+	}, func(_ *worker, i int) sample {
 		c := cells[i]
 		results := session.RunShared(
 			session.SharedConfig{Trace: trace.Constant(3e6), Seed: c.seed + 500},

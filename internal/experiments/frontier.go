@@ -9,7 +9,6 @@ import (
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/plot"
 	"rtcadapt/internal/scenario"
-	"rtcadapt/internal/session"
 	"rtcadapt/internal/video"
 )
 
@@ -77,10 +76,10 @@ func (r *Runner) Frontier(g scenario.Grid, seeds []int64) (FrontierResult, error
 	p95s := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("frontier %s %s seed=%d", c.point.Scenario.Name, c.kind, c.seed)
-	}, func(i int) float64 {
+	}, func(w *worker, i int) float64 {
 		c := cells[i]
 		path := mustCompile(c.point.Scenario, scenario.CompileConfig{Seed: c.seed})
-		res := session.Run(buildConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration, core.AdaptiveConfig{}))
+		res := w.run(buildConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration, core.AdaptiveConfig{}))
 		dropAt := c.point.Scenario.Phases[0].Duration
 		windowEnd := dropAt + c.point.DropDur + PostDropWindow
 		return metrics.Summarize(res.Records, dropAt, windowEnd, res.FrameInterval).P95NetDelay.Seconds()
@@ -245,10 +244,10 @@ func (r *Runner) ScenarioTable(scenarios []scenario.Scenario, kinds []Controller
 	reports := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("scenario %s %s seed=%d", c.sc.Name, c.kind, c.seed)
-	}, func(i int) metrics.Report {
+	}, func(w *worker, i int) metrics.Report {
 		c := cells[i]
 		path := mustCompile(c.sc, scenario.CompileConfig{Seed: c.seed, Duration: dur})
-		res := session.Run(buildConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration, core.AdaptiveConfig{}))
+		res := w.run(buildConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration, core.AdaptiveConfig{}))
 		return metrics.SummarizeAll(res.Records, res.FrameInterval)
 	})
 

@@ -105,7 +105,7 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure5 %s/%s seed=%d", c.cond.Name, c.mode, c.seed)
-	}, func(i int) sample {
+	}, func(w *worker, i int) sample {
 		c := cells[i]
 		cfg := session.Config{
 			Duration:    30 * time.Second,
@@ -131,7 +131,7 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 		if err := cfg.Validate(); err != nil {
 			panic(fmt.Sprintf("experiments: bad figure5 config: %v", err))
 		}
-		res := session.Run(cfg)
+		res := w.run(cfg)
 		return sample{
 			frac: float64(res.Report.DeliveredFrames) / float64(res.Report.Frames),
 			p95:  res.Report.P95NetDelay.Seconds(),

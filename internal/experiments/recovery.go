@@ -63,7 +63,7 @@ func (r *Runner) Figure10(seeds []int64) []Figure10Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure10 %s probing=%t seed=%d", c.kind, c.probing, c.seed)
-	}, func(i int) sample {
+	}, func(w *worker, i int) sample {
 		c := cells[i]
 		cfg := session.Config{
 			Duration:    dur,
@@ -82,7 +82,7 @@ func (r *Runner) Figure10(seeds []int64) []Figure10Row {
 		if err := cfg.Validate(); err != nil {
 			panic(fmt.Sprintf("experiments: bad figure10 config: %v", err))
 		}
-		res := session.Run(cfg)
+		res := w.run(cfg)
 		const reclaimedAt units.BitsPerSec = 1.8e6
 		rt := dur - restoreAt // cap: never reclaimed
 		for _, p := range res.Timeline {

@@ -70,7 +70,7 @@ func (r *Runner) Figure6(seeds []int64) []Figure6Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure6 after=%.2fMbps ladder=%t seed=%d", c.after/1e6, c.useRes, c.seed)
-	}, func(i int) sample {
+	}, func(w *worker, i int) sample {
 		c := cells[i]
 		ctrl := core.NewAdaptive(core.AdaptiveConfig{EnableResolution: c.useRes})
 		cfg := session.Config{
@@ -81,7 +81,7 @@ func (r *Runner) Figure6(seeds []int64) []Figure6Row {
 			Controller:  ctrl,
 		}
 		cfg.ApplyPath(mustCompile(scenario.StepDrop(2.5e6, units.BitsPerSec(c.after), dropAt, 20*time.Second), scenario.CompileConfig{}))
-		res := session.Run(cfg)
+		res := w.run(cfg)
 		post := metrics.Summarize(res.Records, dropAt, dropAt+10*time.Second, res.FrameInterval)
 		out := sample{
 			ssim:     post.MeanSSIM,

@@ -3,6 +3,9 @@ package experiments
 import (
 	"runtime"
 	"sync"
+
+	"rtcadapt/internal/session"
+	"rtcadapt/internal/simtime"
 )
 
 // Runner executes an experiment's cells — every (scenario, controller,
@@ -11,6 +14,12 @@ import (
 // number of goroutines; the runner merges results keyed by cell index
 // (never by completion order), which makes parallel output byte-identical
 // to a sequential run.
+//
+// Each worker goroutine runs its cells one after another in a session
+// shell and scheduler it owns for one experiment call (see worker), so a
+// cell rebuilds the previous cell's session in place instead of
+// allocating one; a recycled run is byte-identical to a fresh one. The
+// shells are dropped when the call returns: a Runner holds none.
 //
 // The zero value runs on GOMAXPROCS workers with no progress reporting;
 // Runner{Workers: 1} reproduces the fully sequential path. A Runner is
@@ -44,16 +53,36 @@ func (r *Runner) workers() int {
 // label(i) names unit i for progress reporting and may be nil when the
 // runner has no Progress callback.
 func Map[T any](r *Runner, n int, label func(int) string, fn func(int) T) []T {
-	return mapCells(r, n, label, fn)
+	return mapCells(r, n, label, func(_ *worker, i int) T { return fn(i) })
 }
 
-// mapCells evaluates fn(i) for every cell index in [0, n) on the runner's
-// worker pool and returns the results indexed by cell. Because the output
-// slot is determined by the cell index alone, callers aggregate in
-// canonical order regardless of which goroutine finished first. label(i)
-// names cell i for progress reporting; it is only invoked when the runner
-// has a Progress callback.
-func mapCells[T any](r *Runner, n int, label func(int) string, fn func(int) T) []T {
+// worker is one pool goroutine's session memory: a shell and the
+// scheduler it runs on, both kept for the length of one mapCells call.
+type worker struct {
+	shell session.Shell
+	sched *simtime.Scheduler
+}
+
+// run executes cfg in the worker's shell. The Result is borrowed: its
+// Records and Timeline are overwritten by the worker's next run, so a
+// cell reduces it, or copies what it keeps, before returning.
+func (w *worker) run(cfg session.Config) session.Result {
+	if w.sched == nil {
+		w.sched = simtime.NewScheduler()
+	} else {
+		w.sched.Reset()
+	}
+	return w.shell.RunBorrowed(w.sched, cfg)
+}
+
+// mapCells evaluates fn(w, i) for every cell index in [0, n) on the
+// runner's worker pool and returns the results indexed by cell. w is the
+// calling goroutine's own worker. Because the output slot is determined
+// by the cell index alone, callers aggregate in canonical order
+// regardless of which goroutine finished first. label(i) names cell i for
+// progress reporting; it is only invoked when the runner has a Progress
+// callback.
+func mapCells[T any](r *Runner, n int, label func(int) string, fn func(w *worker, i int) T) []T {
 	out := make([]T, n)
 	workers := r.workers()
 	if workers > n {
@@ -73,8 +102,9 @@ func mapCells[T any](r *Runner, n int, label func(int) string, fn func(int) T) [
 	}
 
 	if workers <= 1 {
+		w := new(worker)
 		for i := 0; i < n; i++ {
-			out[i] = fn(i)
+			out[i] = fn(w, i)
 			report(i)
 		}
 		return out
@@ -86,8 +116,9 @@ func mapCells[T any](r *Runner, n int, label func(int) string, fn func(int) T) [
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := new(worker)
 			for i := range idx {
-				out[i] = fn(i)
+				out[i] = fn(w, i)
 				report(i)
 			}
 		}()

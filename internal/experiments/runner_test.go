@@ -6,27 +6,42 @@ import (
 	"testing"
 )
 
-// TestParallelMatchesSequential is the tentpole guarantee: the worker pool
-// merges cells in canonical order, so rendered output is byte-identical to
-// a fully sequential run no matter how the goroutines interleave.
+// TestParallelMatchesSequential is the runner's guarantee: cells merge in
+// canonical order, and a cell's result does not depend on which cells ran
+// before it in its worker's shell. It runs every experiment of
+// `benchdrop -exp all` on one worker and on three and requires identical
+// typed results. On one worker each cell of an experiment runs in the
+// shell the cell before it left; on three, each worker runs a different
+// subset, so FEC, NACK, burst-loss, estimator and resolution-ladder
+// sessions each inherit memory shaped by different predecessors.
 func TestParallelMatchesSequential(t *testing.T) {
+	exps := []struct {
+		id  string
+		run func(r *Runner) any
+	}{
+		{"figure1", func(r *Runner) any { return r.Figure1(1) }},
+		{"table1", func(r *Runner) any { return r.Table1(quickSeeds) }},
+		{"table2", func(r *Runner) any { return r.Table2(quickSeeds) }},
+		{"figure2", func(r *Runner) any { return r.Figure2(quickSeeds) }},
+		{"figure3", func(r *Runner) any { return r.Figure3(quickSeeds) }},
+		{"table3", func(r *Runner) any { return r.Table3(quickSeeds) }},
+		{"figure4", func(r *Runner) any { return r.Figure4(quickSeeds) }},
+		{"figure5", func(r *Runner) any { return r.Figure5(quickSeeds) }},
+		{"figure6", func(r *Runner) any { return r.Figure6(quickSeeds) }},
+		{"figure7", func(r *Runner) any { return r.Figure7(quickSeeds) }},
+		{"figure8", func(r *Runner) any { return r.Figure8(quickSeeds) }},
+		{"figure9", func(r *Runner) any { return r.Figure9(quickSeeds) }},
+		{"figure10", func(r *Runner) any { return r.Figure10(quickSeeds) }},
+	}
 	seq := &Runner{Workers: 1}
-	par := &Runner{Workers: 8}
-
-	if got, want := RenderFigure3(par.Figure3(quickSeeds)), RenderFigure3(seq.Figure3(quickSeeds)); got != want {
-		t.Errorf("figure3: parallel output diverges from sequential:\n--- parallel ---\n%s\n--- sequential ---\n%s", got, want)
-	}
-
-	wantCSV, err := seq.CSV("table1", quickSeeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotCSV, err := par.CSV("table1", quickSeeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotCSV != wantCSV {
-		t.Errorf("table1 CSV: parallel output diverges from sequential:\n--- parallel ---\n%s\n--- sequential ---\n%s", gotCSV, wantCSV)
+	par := &Runner{Workers: 3}
+	for _, e := range exps {
+		// %+v prints every float in its shortest exact form, and NaN
+		// equal to itself.
+		want := fmt.Sprintf("%+v", e.run(seq))
+		if got := fmt.Sprintf("%+v", e.run(par)); got != want {
+			t.Errorf("%s: three workers diverge from one:\n--- three ---\n%s\n--- one ---\n%s", e.id, got, want)
+		}
 	}
 }
 

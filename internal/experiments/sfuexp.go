@@ -65,7 +65,7 @@ func (r *Runner) Figure9(seeds []int64) []Figure9Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure9 layer-selection=%t seed=%d", c.layerSel, c.seed)
-	}, func(i int) [len(figure9Receivers)]recvSample {
+	}, func(_ *worker, i int) [len(figure9Receivers)]recvSample {
 		c := cells[i]
 		sched := simtime.NewScheduler()
 		uplink := netem.NewLink(sched, netem.Config{Trace: trace.Constant(2.5e6), Seed: c.seed})

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/scenario"
-	"rtcadapt/internal/session"
 	"rtcadapt/internal/units"
 	"rtcadapt/internal/video"
 )
@@ -58,9 +59,9 @@ func (r *Runner) Figure2(seeds []int64) []Figure2Point {
 	p95s := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure2 %s %s seed=%d", c.sc.Name, c.kind, c.seed)
-	}, func(i int) float64 {
+	}, func(w *worker, i int) float64 {
 		c := cells[i]
-		return postDrop(c.sc, r.runDrop(c.sc, c.kind, c.seed)).P95NetDelay.Seconds()
+		return postDrop(c.sc, w.runDrop(c.sc, c.kind, c.seed)).P95NetDelay.Seconds()
 	})
 
 	var out []Figure2Point
@@ -115,7 +116,7 @@ func Figure3(seeds []int64) []Figure3Series { return (&Runner{}).Figure3(seeds) 
 
 // Figure3 runs the canonical drop under every controller kind, pooling
 // post-drop frame latencies across seeds. Cells are (controller, seed);
-// each series pools its seeds' ledgers in seed order.
+// each series pools its seeds' post-drop windows in seed order.
 func (r *Runner) Figure3(seeds []int64) []Figure3Series {
 	if len(seeds) == 0 {
 		seeds = DefaultSeeds()
@@ -138,9 +139,9 @@ func (r *Runner) Figure3(seeds []int64) []Figure3Series {
 	ledgers := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure3 %s seed=%d", c.kind, c.seed)
-	}, func(i int) []metrics.FrameRecord {
+	}, func(w *worker, i int) []metrics.FrameRecord {
 		c := cells[i]
-		return r.runDrop(sc, c.kind, c.seed).Records
+		return postDropRecords(sc, w.runDrop(sc, c.kind, c.seed).Records)
 	})
 
 	var out []Figure3Series
@@ -158,6 +159,16 @@ func (r *Runner) Figure3(seeds []int64) []Figure3Series {
 		out = append(out, s)
 	}
 	return out
+}
+
+// postDropRecords copies the records captured in the post-drop window out
+// of a borrowed ledger, which is in capture order: the only records
+// Figure 3's CDF reads.
+func postDropRecords(sc DropScenario, records []metrics.FrameRecord) []metrics.FrameRecord {
+	byCapture := func(r metrics.FrameRecord, t time.Duration) int { return cmp.Compare(r.CaptureTS, t) }
+	from, _ := slices.BinarySearchFunc(records, sc.DropAt, byCapture)
+	to, _ := slices.BinarySearchFunc(records, sc.DropAt+PostDropWindow, byCapture)
+	return slices.Clone(records[from:to])
 }
 
 func quantileOf(sorted []float64, q float64) float64 {
@@ -258,9 +269,9 @@ func (r *Runner) Table3(seeds []int64) []Table3Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("table3 %q seed=%d", variants[c.variant].name, c.seed)
-	}, func(i int) sample {
+	}, func(w *worker, i int) sample {
 		c := cells[i]
-		res := session.Run(buildConfig(sc.path(), sc.Content, KindAdaptive, c.seed,
+		res := w.run(buildConfig(sc.path(), sc.Content, KindAdaptive, c.seed,
 			sc.DropAt+20*time.Second, variants[c.variant].cfg))
 		return sample{p95: postDrop(sc, res).P95NetDelay.Seconds(), ssim: res.Report.MeanSSIM}
 	})
@@ -363,10 +374,10 @@ func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure4 %s/%s %s seed=%d", c.gen.sc.Name, c.content, c.kind, c.seed)
-	}, func(i int) sample {
+	}, func(w *worker, i int) sample {
 		c := cells[i]
 		path := mustCompile(c.gen.sc, scenario.CompileConfig{Seed: c.seed + c.gen.seedOffset, Duration: 60 * time.Second})
-		res := session.Run(buildConfig(path, c.content, c.kind, c.seed, 60*time.Second, core.AdaptiveConfig{}))
+		res := w.run(buildConfig(path, c.content, c.kind, c.seed, 60*time.Second, core.AdaptiveConfig{}))
 		return sample{
 			p95:    res.Report.P95NetDelay.Seconds(),
 			ssim:   res.Report.MeanSSIM,

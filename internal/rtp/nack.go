@@ -175,7 +175,10 @@ func (g *NackGenerator) Abandoned() int { return g.abandoned }
 // indexes the oldest once the ring is full, and eviction overwrites in
 // place. index finds a sequence number's ring slot: an open-addressed
 // table of twice the capacity with linear probing and backward-shift
-// deletion, so it never holds tombstones and never grows. Both are
+// deletion, so it never holds tombstones and never grows. A key's home
+// bucket is a Fibonacci hash of it: consecutive sequence numbers then
+// scatter across the table instead of filling one contiguous probe run,
+// which every deletion would otherwise walk to its end. Both are
 // allocated once, in NewRtxBuffer: a Go map would rehash through every
 // power of two up to the capacity in each session that enables NACK, and
 // again as deletions accumulate.
@@ -185,6 +188,7 @@ type RtxBuffer struct {
 	head  int
 	index []int32 // ring slot + 1; zero marks an empty bucket
 	mask  int
+	shift uint // 32 - log2(len(index)), for home
 }
 
 // NewRtxBuffer returns a buffer holding up to capacity packets (default
@@ -202,9 +206,10 @@ func (b *RtxBuffer) Init(capacity int) {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	buckets := 1
+	buckets, shift := 1, uint(32)
 	for buckets < 2*capacity {
 		buckets <<= 1
+		shift--
 	}
 	if cap(b.seqs) != capacity || len(b.index) != buckets {
 		*b = RtxBuffer{
@@ -212,6 +217,7 @@ func (b *RtxBuffer) Init(capacity int) {
 			pkts:  make([]*Packet, 0, capacity),
 			index: make([]int32, buckets),
 			mask:  buckets - 1,
+			shift: shift,
 		}
 		return
 	}
@@ -220,11 +226,17 @@ func (b *RtxBuffer) Init(capacity int) {
 	b.seqs, b.pkts, b.head = b.seqs[:0], b.pkts[:0], 0
 }
 
+// home is seq's home bucket: the top bits of seq times 2^32/φ. The
+// multiplier spreads any run of consecutive keys near-evenly over the
+// table, so probe runs stay short at the index's half load.
+func (b *RtxBuffer) home(seq uint16) int {
+	return int(uint32(seq) * 0x9e3779b9 >> b.shift)
+}
+
 // find returns the bucket holding seq, or the empty bucket ending its
-// probe sequence and false. Sequence numbers are sent consecutively, so
-// their home buckets (seq & mask) rarely collide.
+// probe sequence and false.
 func (b *RtxBuffer) find(seq uint16) (int, bool) {
-	for i := int(seq) & b.mask; ; i = (i + 1) & b.mask {
+	for i := b.home(seq); ; i = (i + 1) & b.mask {
 		slot := b.index[i]
 		if slot == 0 {
 			return i, false
@@ -239,7 +251,7 @@ func (b *RtxBuffer) find(seq uint16) (int, bool) {
 // so every remaining key stays reachable from its home bucket.
 func (b *RtxBuffer) unindex(i int) {
 	for j := (i + 1) & b.mask; b.index[j] != 0; j = (j + 1) & b.mask {
-		home := int(b.seqs[b.index[j]-1]) & b.mask
+		home := b.home(b.seqs[b.index[j]-1])
 		// The entry at j may fill the hole at i unless its home lies
 		// cyclically in (i, j].
 		if (j-home)&b.mask >= (j-i)&b.mask {

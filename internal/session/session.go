@@ -9,8 +9,8 @@
 // per-frame ledger. Run executes a single session end to end; New builds a
 // Session on an externally owned scheduler so several flows can share one
 // bottleneck link (see the fairness experiment); a Shell runs session
-// after session in one session's recycled memory, returning a Summary of
-// each (the fleet's shards).
+// after session in one session's recycled memory (the fleet's shards and
+// the experiment workers), lending each run's Result until the next.
 package session
 
 import (
@@ -989,8 +989,10 @@ func fecRecovered(d *fec.Decoder) int {
 }
 
 // Run executes one session end to end: the common single-flow entry point.
+// It is a borrowing run on a shell nothing else holds, so the Result is
+// the caller's to keep.
 func Run(cfg Config) Result {
-	return new(Session).run(simtime.NewScheduler(), cfg)
+	return new(Shell).RunBorrowed(simtime.NewScheduler(), cfg)
 }
 
 // run (re)builds the session for cfg on sched, which must be fresh or

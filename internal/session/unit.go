@@ -74,31 +74,41 @@ func Summarize(index int, res Result) Summary {
 // or a recycled one — the contract the fleet's shard-count invariance
 // test pins.
 func (u Unit) RunOn(sched *simtime.Scheduler) Summary {
-	var s Session
-	return Summarize(u.Index, s.run(sched, u.Cfg))
+	return new(Shell).Run(sched, u)
 }
 
 // Shell is one session's memory, kept to run session after session in:
 // the frame ledger and timeline, the packetizer's slabs, the PRNG sources
 // of the video source, encoder and links, the link, pacer and feedback
-// rings, the retransmission table and the estimator's windows. Each Run
+// rings, the retransmission table and the estimator's windows. Each run
 // rebuilds the next session inside it through the same re-initialiser New
-// uses, so a run in a recycled Shell is byte-identical to a fresh RunOn;
+// uses, so a run in a recycled Shell is byte-identical to a fresh Run;
 // only the allocation differs. The zero value is ready to use.
 //
-// A Shell keeps nothing but the Summary of each run: the next Run
-// overwrites the previous session's ledger, timeline and packets, which is
-// why Run returns a Summary and Run, RunShared and New build fresh
-// sessions. Not safe for concurrent use; a fleet shard owns one.
+// The next run overwrites the previous session's ledger, timeline and
+// packets, so a Shell lends each run's Result rather than giving it:
+// RunBorrowed's Records and Timeline alias the shell's memory until its
+// next run, and a caller that keeps either past that copies what it
+// keeps. Run, RunOn and the package-level Run are RunBorrowed on some
+// shell; RunShared and New build fresh sessions. Not safe for concurrent
+// use; a fleet shard or an experiment worker owns one.
 type Shell struct{ s Session }
 
-// Run executes u on sched like u.RunOn(sched), reusing the shell's memory.
-// sched must be freshly constructed or freshly Reset. A unit that sends
-// into an external Config.ForwardLink runs in emptied memory: the link may
-// still hold packets from the shell's previous run.
-func (sh *Shell) Run(sched *simtime.Scheduler, u Unit) Summary {
-	if u.Cfg.ForwardLink != nil {
+// RunBorrowed executes cfg on sched, which must be freshly constructed or
+// freshly Reset, reusing the shell's memory, and returns the full Result.
+// Its Records and Timeline stay valid only until the shell's next run. A
+// config that sends into an external Config.ForwardLink runs in emptied
+// memory: the link may still hold packets from the shell's previous run.
+func (sh *Shell) RunBorrowed(sched *simtime.Scheduler, cfg Config) Result {
+	if cfg.ForwardLink != nil {
 		sh.s = Session{}
 	}
-	return Summarize(u.Index, sh.s.run(sched, u.Cfg))
+	return sh.s.run(sched, cfg)
+}
+
+// Run executes u on sched like u.RunOn(sched), reusing the shell's memory,
+// and keeps only its Summary. sched must be freshly constructed or freshly
+// Reset.
+func (sh *Shell) Run(sched *simtime.Scheduler, u Unit) Summary {
+	return Summarize(u.Index, sh.RunBorrowed(sched, u.Cfg))
 }
