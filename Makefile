@@ -45,7 +45,9 @@ lint-budget:
 # Each target is named explicitly: -fuzz=Fuzz is ambiguous in packages
 # with more than one fuzz test (internal/rtp has two).
 # FuzzSchedulerEquivalence compares the timer wheel against the test-only
-# reference model of the scheduler (a plain slice scanned for the minimum).
+# reference model of the scheduler (a plain slice scanned for the minimum);
+# FuzzFECEquivalence compares the recycled FEC encoder and decoder against
+# the map-based ones they replaced.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReportUnmarshal -fuzztime=$(FUZZTIME) ./internal/fb
 	$(GO) test -run='^$$' -fuzz=FuzzPacketUnmarshal -fuzztime=$(FUZZTIME) ./internal/rtp
@@ -55,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/simtime
+	$(GO) test -run='^$$' -fuzz=FuzzFECEquivalence -fuzztime=$(FUZZTIME) ./internal/fec
 	$(GO) test -run='^$$' -fuzz=FuzzShellReuse -fuzztime=$(FUZZTIME) ./internal/session
 
 # Record a short figure-1 session in all three export formats, then diff
@@ -102,8 +105,9 @@ bench-parallel:
 # Fast allocation- and complexity-regression gate for CI: run the
 # allocation budget tests (AllocsPerRun gates per layer, the
 # whole-session marginal-bytes gates with and without NACK, the fleet's
-# bytes per recycled session and the experiment runner's bytes per cell
-# on a warm worker), the complexity tests (scheduler Step at 16k vs 1k
+# bytes per recycled session and the experiment runner's bytes per drop
+# cell and per Figure 5 fec+nack cell on a warm worker), the FEC encoder
+# and decoder steady states, the complexity tests (scheduler Step at 16k vs 1k
 # standing timers, cancel-and-replace at 4k vs 256 pending events, and
 # retransmission-buffer Store at 4096 vs 64 packets, each measured in one
 # process and bounded at 2x, where an O(n) walk shows up at the size
@@ -112,7 +116,7 @@ bench-parallel:
 # end-to-end speed is rtcbench's job (cmd/rtcbench/README.md).
 bench-smoke:
 	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|AllocPerCell|CostIndependentOfDepth|CostIndependentOfCapacity' -v \
-		./internal/simtime ./internal/netem ./internal/rtp \
+		./internal/simtime ./internal/netem ./internal/rtp ./internal/fec \
 		./internal/session ./internal/stats ./internal/fleet ./internal/experiments
 	$(GO) test -run='^$$' -bench='BenchmarkScheduler|BenchmarkLinkSaturated|BenchmarkPacketizeReuse' \
 		-benchtime=1x -benchmem ./internal/simtime ./internal/netem ./internal/rtp

@@ -5,24 +5,27 @@ import (
 	"testing"
 )
 
-// cellAllocBudget bounds the heap bytes one more drop cell allocates on a
-// warm worker. The worker's shell keeps the session's ledger, timeline,
-// packet slabs, PRNG sources, rings and windows, so what a cell still
-// allocates is its summaries' sample buffers — the whole-session
-// SummarizeAll and the post-drop Summarize size two float64 slices per
-// frame each, about 17 KB — plus the compiled drop path and the
-// controller (~2 KB): about 20 KB. A fresh session per cell costs about
-// 230 KB. Raise the budget only with a note of what allocates per cell
+// cellAllocBudget bounds the heap bytes one more experiment cell
+// allocates on a warm worker. The worker's shell keeps the session's
+// ledger, timeline, packet slabs, FEC repair slabs and decoder ring, PRNG
+// sources, rings and windows, so what a cell still allocates is its
+// summaries' sample buffers — the whole-session SummarizeAll and the
+// post-drop Summarize size two float64 slices per frame each, about
+// 17 KB — plus the compiled drop path and the controller (~2 KB): about
+// 20 KB. A fresh session per cell costs about 230 KB; a Figure 5 fec+nack
+// cell with its FEC encoder and decoder rebuilt per session cost about
+// 0.5 MB. Raise the budget only with a note of what allocates per cell
 // and why the shell cannot keep it.
 const cellAllocBudget = 32 << 10
 
 // table1Alloc returns the bytes a sequential Table 1 over seeds
 // allocates, the least of three runs so a stray runtime allocation cannot
-// fail the gate.
+// fail the gate. Each run has a Runner of its own: a Runner remembers the
+// drop cells it has run, so a second Table 1 on it would run no session.
 func table1Alloc(seeds []int64) uint64 {
-	r := &Runner{Workers: 1}
 	best := ^uint64(0)
 	for i := 0; i < 3; i++ {
+		r := &Runner{Workers: 1}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		r.Table1(seeds)
@@ -47,5 +50,36 @@ func TestRunnerAllocPerCell(t *testing.T) {
 	t.Logf("%d cells %d B, %d cells %d B, marginal %.0f B per cell", cells, one, 2*cells, two, perCell)
 	if perCell > cellAllocBudget {
 		t.Fatalf("a drop cell allocates %.0f B, budget %d", perCell, cellAllocBudget)
+	}
+}
+
+// TestFECCellAllocPerCell gates a Figure 5 fec+nack cell at 2% loss on a
+// worker the same cell has warmed: the least of three runs, each building
+// its config and controller as Figure 5 does. FEC repairs, their
+// Protected buffers and the decoder's group ring and received window all
+// stay in the shell, so the cell costs what a drop cell does.
+func TestFECCellAllocPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	cond := Figure5Conditions()[3]
+	if cond.Random != 0.02 {
+		t.Fatalf("condition 3 is %+v, want 2%% random loss", cond)
+	}
+	w := new(worker)
+	if res := w.run(figure5Config(cond, ModeFECNACK, 1)); res.FECRecovered == 0 || res.Retransmitted == 0 {
+		t.Fatalf("the fec+nack cell recovered %d packets and retransmitted %d", res.FECRecovered, res.Retransmitted)
+	}
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w.run(figure5Config(cond, ModeFECNACK, 1))
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a warm fec+nack cell allocates %d B", best)
+	if best > cellAllocBudget {
+		t.Fatalf("a warm fec+nack cell allocates %d B, budget %d", best, cellAllocBudget)
 	}
 }

@@ -214,7 +214,7 @@ func (r *Runner) Table1(seeds []int64) []Table1Row {
 		return fmt.Sprintf("table1 %s %s seed=%d", c.sc, c.kind, c.seed)
 	}, func(w *worker, i int) float64 {
 		c := cells[i]
-		return postDrop(c.sc, w.runDrop(c.sc, c.kind, c.seed)).P95NetDelay.Seconds()
+		return r.drop(w, c.sc, c.kind, c.seed).post.P95NetDelay.Seconds()
 	})
 
 	var rows []Table1Row
@@ -312,7 +312,7 @@ func (r *Runner) Table2(seeds []int64) []Table2Row {
 		return fmt.Sprintf("table2 %s %s seed=%d", c.sc, c.kind, c.seed)
 	}, func(w *worker, i int) ssims {
 		c := cells[i]
-		rep := w.runDrop(c.sc, c.kind, c.seed).Report
+		rep := r.drop(w, c.sc, c.kind, c.seed).session
 		return ssims{enc: rep.EncodedSSIM, disp: rep.MeanSSIM}
 	})
 

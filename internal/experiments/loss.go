@@ -107,31 +107,7 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 		return fmt.Sprintf("figure5 %s/%s seed=%d", c.cond.Name, c.mode, c.seed)
 	}, func(w *worker, i int) sample {
 		c := cells[i]
-		cfg := session.Config{
-			Duration:    30 * time.Second,
-			Seed:        c.seed,
-			Content:     video.TalkingHead,
-			Trace:       trace.Constant(2e6),
-			InitialRate: 1e6,
-			LossProb:    c.cond.Random,
-			Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
-		}
-		switch c.mode {
-		case ModeNACK:
-			cfg.NACK = true
-		case ModeFEC:
-			cfg.FECGroupSize = 4
-		case ModeFECNACK:
-			cfg.NACK = true
-			cfg.FECGroupSize = 4
-		}
-		if c.cond.BurstRate > 0 {
-			cfg.BurstLoss = netem.NewGilbertElliott(c.cond.BurstLen, c.cond.BurstRate)
-		}
-		if err := cfg.Validate(); err != nil {
-			panic(fmt.Sprintf("experiments: bad figure5 config: %v", err))
-		}
-		res := w.run(cfg)
+		res := w.run(figure5Config(c.cond, c.mode, c.seed))
 		return sample{
 			frac: float64(res.Report.DeliveredFrames) / float64(res.Report.Frames),
 			p95:  res.Report.P95NetDelay.Seconds(),
@@ -172,6 +148,36 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 		}
 	}
 	return rows
+}
+
+// figure5Config builds one Figure 5 cell's session: 30 s at a constant
+// 2 Mbps under the condition's loss and the mode's recovery.
+func figure5Config(cond LossCondition, mode RecoveryMode, seed int64) session.Config {
+	cfg := session.Config{
+		Duration:    30 * time.Second,
+		Seed:        seed,
+		Content:     video.TalkingHead,
+		Trace:       trace.Constant(2e6),
+		InitialRate: 1e6,
+		LossProb:    cond.Random,
+		Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
+	}
+	switch mode {
+	case ModeNACK:
+		cfg.NACK = true
+	case ModeFEC:
+		cfg.FECGroupSize = 4
+	case ModeFECNACK:
+		cfg.NACK = true
+		cfg.FECGroupSize = 4
+	}
+	if cond.BurstRate > 0 {
+		cfg.BurstLoss = netem.NewGilbertElliott(cond.BurstLen, cond.BurstRate)
+	}
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("experiments: bad figure5 config: %v", err))
+	}
+	return cfg
 }
 
 // RenderFigure5 renders the loss-robustness table.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 
+	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/simtime"
 )
@@ -21,10 +22,16 @@ import (
 // allocating one; a recycled run is byte-identical to a fresh one. The
 // shells are dropped when the call returns: a Runner holds none.
 //
+// A Runner remembers the drop cells it has run — one session per
+// (drop, controller, seed), kept as its post-drop and whole-session
+// reports — so Table 1, Table 2 and Figure 2 share the sessions they have
+// in common instead of running them again. A remembered cell still counts
+// towards Progress.
+//
 // The zero value runs on GOMAXPROCS workers with no progress reporting;
-// Runner{Workers: 1} reproduces the fully sequential path. A Runner is
-// stateless configuration and may be reused across experiments and
-// goroutines.
+// Runner{Workers: 1} reproduces the fully sequential path. A Runner may
+// be reused across experiments and goroutines; it must not be copied
+// after first use.
 type Runner struct {
 	// Workers bounds the number of concurrently running sessions.
 	// Zero or negative means runtime.GOMAXPROCS(0).
@@ -35,6 +42,51 @@ type Runner struct {
 	// serialized (never concurrent) but, under parallelism, arrive in
 	// completion order, not cell order.
 	Progress func(done, total int, label string)
+
+	mu    sync.Mutex
+	drops map[dropKey]dropReports
+}
+
+// dropKey is what a drop cell's session depends on: runDrop's inputs.
+// The scenario's Name is cleared, since it is only a label.
+type dropKey struct {
+	sc   DropScenario
+	kind ControllerKind
+	seed int64
+}
+
+// dropReports is what the drop-cell experiments read from a session.
+type dropReports struct {
+	// post covers the PostDropWindow after the drop; session the whole
+	// session.
+	post, session metrics.Report
+}
+
+// drop returns the reports of one drop cell, running its session in w's
+// shell unless the runner has run it before. A nil runner remembers
+// nothing.
+func (r *Runner) drop(w *worker, sc DropScenario, kind ControllerKind, seed int64) dropReports {
+	key := dropKey{sc: sc, kind: kind, seed: seed}
+	key.sc.Name = ""
+	if r != nil {
+		r.mu.Lock()
+		rep, ok := r.drops[key]
+		r.mu.Unlock()
+		if ok {
+			return rep
+		}
+	}
+	res := w.runDrop(sc, kind, seed)
+	rep := dropReports{post: postDrop(sc, res), session: res.Report}
+	if r != nil {
+		r.mu.Lock()
+		if r.drops == nil {
+			r.drops = make(map[dropKey]dropReports)
+		}
+		r.drops[key] = rep
+		r.mu.Unlock()
+	}
+	return rep
 }
 
 // workers resolves the effective pool size.

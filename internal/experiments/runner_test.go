@@ -102,3 +102,54 @@ func TestNilRunnerWrappers(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerReusesDropCells checks the drop-cell memo: Table 2 and
+// Figure 2 on a Runner that already ran Table 1 must equal the same
+// experiments on a fresh Runner, at one worker and at three. Table 1
+// leaves one remembered cell per (drop, controller, seed); Table 2 adds
+// none, so it ran no session, and Figure 2 adds all but the 20 cells its
+// 40% and 60% severities share with Table 1's 2.5->1.5 and 2.5->1.0
+// talking-head rows. Every cell, remembered or not, reports progress.
+func TestRunnerReusesDropCells(t *testing.T) {
+	seeds := DefaultSeeds()
+	fresh := &Runner{Workers: 1}
+	wantT2 := fmt.Sprintf("%+v", fresh.Table2(seeds))
+	wantF2 := fmt.Sprintf("%+v", (&Runner{Workers: 1}).Figure2(seeds))
+	table1Cells := len(DropMatrix()) * 2 * len(seeds)
+	figure2Cells := 8 * 2 * len(seeds)
+	shared := 2 * 2 * len(seeds)
+	for _, workers := range []int{1, 3} {
+		var mu sync.Mutex
+		calls := 0
+		r := &Runner{Workers: workers, Progress: func(int, int, string) {
+			mu.Lock()
+			calls++
+			mu.Unlock()
+		}}
+		remembered := func() int {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return len(r.drops)
+		}
+		r.Table1(seeds)
+		if n := remembered(); n != table1Cells {
+			t.Fatalf("workers %d: %d cells remembered after Table 1, want %d", workers, n, table1Cells)
+		}
+		calls = 0
+		if got := fmt.Sprintf("%+v", r.Table2(seeds)); got != wantT2 {
+			t.Errorf("workers %d: Table 2 after Table 1 differs from a fresh runner's:\n%s\n%s", workers, got, wantT2)
+		}
+		if n := remembered(); n != table1Cells {
+			t.Fatalf("workers %d: %d cells remembered after Table 2, want %d: it ran sessions", workers, n, table1Cells)
+		}
+		if calls != table1Cells {
+			t.Errorf("workers %d: Table 2 reported progress %d times, want %d", workers, calls, table1Cells)
+		}
+		if got := fmt.Sprintf("%+v", r.Figure2(seeds)); got != wantF2 {
+			t.Errorf("workers %d: Figure 2 after Table 1 differs from a fresh runner's:\n%s\n%s", workers, got, wantF2)
+		}
+		if n, want := remembered(), table1Cells+figure2Cells-shared; n != want {
+			t.Fatalf("workers %d: %d cells remembered after Figure 2, want %d", workers, n, want)
+		}
+	}
+}

@@ -61,7 +61,7 @@ func (r *Runner) Figure2(seeds []int64) []Figure2Point {
 		return fmt.Sprintf("figure2 %s %s seed=%d", c.sc.Name, c.kind, c.seed)
 	}, func(w *worker, i int) float64 {
 		c := cells[i]
-		return postDrop(c.sc, w.runDrop(c.sc, c.kind, c.seed)).P95NetDelay.Seconds()
+		return r.drop(w, c.sc, c.kind, c.seed).post.P95NetDelay.Seconds()
 	})
 
 	var out []Figure2Point

@@ -75,11 +75,11 @@ func TestDecoderRecoversSingleLoss(t *testing.T) {
 		if seq == 2 {
 			continue // lose packet 2
 		}
-		if rec := d.OnMedia(seq); len(rec) != 0 {
+		if rec := d.OnMedia(nil, seq); len(rec) != 0 {
 			t.Fatalf("premature recovery: %v", rec)
 		}
 	}
-	rec := d.OnRepair(repair)
+	rec := d.OnRepair(nil, repair)
 	if len(rec) != 1 {
 		t.Fatalf("recovered %d packets, want 1", len(rec))
 	}
@@ -103,13 +103,13 @@ func TestDecoderRepairBeforeMedia(t *testing.T) {
 			repair = r
 		}
 	}
-	if rec := d.OnRepair(repair); len(rec) != 0 {
+	if rec := d.OnRepair(nil, repair); len(rec) != 0 {
 		t.Fatal("recovered with zero media packets")
 	}
-	if rec := d.OnMedia(0); len(rec) != 0 {
+	if rec := d.OnMedia(nil, 0); len(rec) != 0 {
 		t.Fatal("recovered with one of three")
 	}
-	rec := d.OnMedia(1)
+	rec := d.OnMedia(nil, 1)
 	if len(rec) != 1 || rec[0].SequenceNumber != 2 {
 		t.Fatalf("recovery on second media arrival: %v", rec)
 	}
@@ -124,10 +124,10 @@ func TestDecoderCannotRecoverDoubleLoss(t *testing.T) {
 			repair = r
 		}
 	}
-	d.OnMedia(0)
-	d.OnMedia(1)
+	d.OnMedia(nil, 0)
+	d.OnMedia(nil, 1)
 	// 2 and 3 both lost: unrecoverable.
-	if rec := d.OnRepair(repair); len(rec) != 0 {
+	if rec := d.OnRepair(nil, repair); len(rec) != 0 {
 		t.Errorf("recovered a double loss: %v", rec)
 	}
 	if d.Recovered() != 0 {
@@ -143,9 +143,9 @@ func TestDecoderFullGroupNoRecovery(t *testing.T) {
 		if r := e.Add(mkPkt(seq, 100)); r != nil {
 			repair = r
 		}
-		d.OnMedia(seq)
+		d.OnMedia(nil, seq)
 	}
-	if rec := d.OnRepair(repair); len(rec) != 0 {
+	if rec := d.OnRepair(nil, repair); len(rec) != 0 {
 		t.Errorf("recovered from a complete group: %v", rec)
 	}
 }
@@ -155,11 +155,11 @@ func TestDecoderDuplicateRepair(t *testing.T) {
 	d := NewDecoder()
 	e.Add(mkPkt(0, 100))
 	repair := e.Add(mkPkt(1, 100))
-	d.OnMedia(0)
-	if rec := d.OnRepair(repair); len(rec) != 1 {
+	d.OnMedia(nil, 0)
+	if rec := d.OnRepair(nil, repair); len(rec) != 1 {
 		t.Fatalf("first repair: %v", rec)
 	}
-	if rec := d.OnRepair(repair); len(rec) != 0 {
+	if rec := d.OnRepair(nil, repair); len(rec) != 0 {
 		t.Errorf("duplicate repair recovered again: %v", rec)
 	}
 }
@@ -171,10 +171,10 @@ func TestDecoderEviction(t *testing.T) {
 	for seq := uint16(0); seq < 40; seq += 2 {
 		e.Add(mkPkt(seq, 100))
 		r := e.Add(mkPkt(seq+1, 100))
-		d.OnRepair(r)
+		d.OnRepair(nil, r)
 	}
-	if len(d.groups) > 4 {
-		t.Errorf("groups = %d, want <= 4", len(d.groups))
+	if d.n > 4 {
+		t.Errorf("groups = %d, want <= 4", d.n)
 	}
 }
 
@@ -200,13 +200,13 @@ func TestFECSingleLossRecoveryProperty(t *testing.T) {
 					repair = r
 				}
 				if i != lose {
-					recoveredTotal += len(d.OnMedia(p.SequenceNumber))
+					recoveredTotal += len(d.OnMedia(nil, p.SequenceNumber))
 				} else {
 					lostTotal++
 				}
 				seq++
 			}
-			recoveredTotal += len(d.OnRepair(repair))
+			recoveredTotal += len(d.OnRepair(nil, repair))
 		}
 		return recoveredTotal == lostTotal
 	}

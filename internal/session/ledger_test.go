@@ -6,6 +6,7 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/fb"
+	"rtcadapt/internal/fec"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/netem"
 	"rtcadapt/internal/rtp"
@@ -178,10 +179,19 @@ func poison(p *rtp.Packet) {
 	}
 }
 
+// poisonRepair overwrites a repair, every Protected slot up to its
+// capacity included, with sentinel values no live repair carries.
+func poisonRepair(rep *fec.Repair) {
+	for i := range rep.Protected[:cap(rep.Protected)] {
+		poison(&rep.Protected[:cap(rep.Protected)][i])
+	}
+	rep.RepairID, rep.SSRC, rep.TransportSeq, rep.WireBytes = 0xdeadbeef, 0xdeadbeef, 0xdeadbeef, -1
+}
+
 // runPoisoned runs cfg on a forward link it builds itself, so it can
-// watch every delivery. With poisoned set, every packet the session
-// recycled is overwritten with sentinel values the moment Deliver
-// returns.
+// watch every delivery. With poisoned set, every packet and FEC repair
+// the session recycled is overwritten with sentinel values the moment
+// Deliver returns.
 func runPoisoned(cfg Config, poisoned bool) Result {
 	sched := simtime.NewScheduler()
 	link := netem.NewLink(sched, netem.Config{
@@ -195,8 +205,16 @@ func runPoisoned(cfg Config, poisoned bool) Result {
 	s := New(sched, cfg)
 	link.SetReceiver(netem.ReceiverFunc(func(np netem.Packet, at time.Duration) {
 		s.Deliver(np, at)
-		if pkt, ok := np.Payload.(*rtp.Packet); ok && poisoned && s.soleHolder() {
-			poison(pkt)
+		if !poisoned {
+			return
+		}
+		switch pkt := np.Payload.(type) {
+		case *rtp.Packet:
+			if s.soleHolder() {
+				poison(pkt)
+			}
+		case *fec.Repair:
+			poisonRepair(pkt)
 		}
 	}))
 	end := cfg.StartAt + s.cfg.Duration + 2*time.Second
@@ -205,11 +223,12 @@ func runPoisoned(cfg Config, poisoned bool) Result {
 }
 
 // TestRecycledPacketsPoisoned is the ownership rule's proof: once Deliver
-// has returned a packet to the packetizer, nothing — receiver, sender,
-// link or FEC — may read it again. Overwriting every recycled packet with
-// sentinels must leave the session's results unchanged, with and without
-// FEC, audio, probing, loss, jitter and NACK (which keeps packets for
-// retransmission, so the session must not recycle them).
+// has returned a packet to the packetizer or a repair to the FEC encoder,
+// nothing — receiver, sender, link or FEC decoder — may read it again.
+// Overwriting every recycled packet and repair with sentinels must leave
+// the session's results unchanged, with and without FEC, audio, probing,
+// loss, jitter and NACK (which keeps packets for retransmission, so the
+// session must not recycle them, but never keeps repairs).
 func TestRecycledPacketsPoisoned(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -223,6 +242,12 @@ func TestRecycledPacketsPoisoned(t *testing.T) {
 			cfg.LossProb, cfg.JitterAmp = 0.01, 3*time.Millisecond
 			return cfg
 		}},
+		{"fec-nack-loss", func() Config {
+			cfg := dropConfig(core.NewAdaptive(core.AdaptiveConfig{}), 7)
+			cfg.Duration = 15 * time.Second
+			cfg.FECGroupSize, cfg.NACK, cfg.LossProb = 3, true, 0.03
+			return cfg
+		}},
 		{"nack-loss", func() Config {
 			cfg := dropConfig(core.NewAdaptive(core.AdaptiveConfig{}), 6)
 			cfg.Duration = 15 * time.Second
@@ -231,6 +256,9 @@ func TestRecycledPacketsPoisoned(t *testing.T) {
 		}},
 	} {
 		clean, dirty := runPoisoned(c.mk(), false), runPoisoned(c.mk(), true)
+		if c.mk().FECGroupSize > 0 && clean.FECRecovered == 0 {
+			t.Errorf("%s: FEC recovered nothing; the repairs were not exercised", c.name)
+		}
 		if clean.Report != dirty.Report || clean.LinkStats != dirty.LinkStats ||
 			clean.FECRecovered != dirty.FECRecovered || clean.Retransmitted != dirty.Retransmitted {
 			t.Errorf("%s: poisoning recycled packets changed the results:\n%+v\n%+v", c.name, clean.Report, dirty.Report)

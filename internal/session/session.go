@@ -106,11 +106,6 @@ type Config struct {
 	// InitialRate seeds the estimator and encoder (zero: 1 Mbps).
 	InitialRate units.BitsPerSec
 
-	// LatenessBudget is the receiver's interactive rendering budget
-	// (see rtp.JitterBuffer). Zero keeps the 600 ms default; negative
-	// disables it.
-	LatenessBudget time.Duration
-
 	// SSRC identifies this flow on a shared link. Zero derives one from
 	// the seed.
 	SSRC uint32
@@ -228,8 +223,7 @@ type Session struct {
 	reasm      *rtp.Reassembler
 	nackGen    *rtp.NackGenerator
 	rtxBuf     *rtp.RtxBuffer
-	fecEnc     *fec.GroupEncoder
-	fecDec     *fec.Decoder
+	fec        *fecParts
 	audioSrc   *audio.Source
 	audioRecv  *audio.Receiver
 	audioSent  int
@@ -259,13 +253,27 @@ type Session struct {
 // spareParts are the optional components with storage worth keeping: the
 // built-in video source (unused under Config.VideoSource), the default
 // estimator (unused under Config.NewEstimator), the private forward link
-// (unused under Config.ForwardLink) and the NACK machinery.
+// (unused under Config.ForwardLink), the NACK machinery and the FEC
+// machinery.
 type spareParts struct {
 	source  *video.Source
 	gcc     *cc.GCC
 	link    *netem.Link
 	nackGen *rtp.NackGenerator
 	rtxBuf  *rtp.RtxBuffer
+	fec     *fecParts
+}
+
+// fecParts is the FEC machinery, on at both ends of a session or at
+// neither: the sender's encoder, the receiver's decoder and the slice the
+// decoder appends one delivery's recovered packets to. A Session holds it
+// through one pointer to stay in the 768-byte size class (with its 8-byte
+// malloc header it takes 744 bytes); separate fields for the three moved
+// every session built outside a shell into the 896-byte class.
+type fecParts struct {
+	enc fec.GroupEncoder
+	dec fec.Decoder
+	out []*rtp.Packet
 }
 
 // reuse returns *p, allocating it on first use. A session keeps every
@@ -476,8 +484,9 @@ func (s *Session) init(sched *simtime.Scheduler, cfg Config) {
 		s.rtxBuf.Init(512)
 	}
 	if cfg.FECGroupSize > 0 {
-		s.fecEnc = fec.NewGroupEncoder(cfg.SSRC, cfg.FECGroupSize)
-		s.fecDec = fec.NewDecoder()
+		s.fec = reuse(&s.spare.fec)
+		s.fec.enc.Init(cfg.SSRC, cfg.FECGroupSize)
+		s.fec.dec.Reset()
 	}
 	if cfg.Audio {
 		s.audioSrc = audio.NewSource(audio.Config{})
@@ -487,9 +496,6 @@ func (s *Session) init(sched *simtime.Scheduler, cfg Config) {
 		s.probe = newProbeController(s)
 	}
 	s.jbuf = rtp.NewJitterBuffer(0, 0)
-	if cfg.LatenessBudget != 0 {
-		s.jbuf.LatenessBudget = cfg.LatenessBudget
-	}
 
 	s.pc.Init(sched, pacer.Config{Rate: cfg.InitialRate, Burst: cfg.PacerBurst, Recorder: cfg.Recorder}, s.sendPacket)
 
@@ -659,8 +665,11 @@ func (s *Session) markDropped(frameID uint32) {
 // A consumed RTP packet goes back to the packetizer when the session is
 // provably its only holder: the receive path keeps no pointer to it (the
 // reassembler, FEC decoder and NACK generator copy what they need), and
-// without a retransmission buffer (NACK off) neither does the sender.
-// Packets that are dropped or lost never get here and stay with the GC.
+// without a retransmission buffer (NACK off) neither does the sender. A
+// consumed FEC repair always goes back to the encoder: the decoder copies
+// what it protects and no retransmission buffer stores repairs. Packets
+// and repairs that are dropped or lost never get here and are never handed
+// back.
 func (s *Session) Deliver(np netem.Packet, at time.Duration) {
 	switch pkt := np.Payload.(type) {
 	case *rtp.Packet:
@@ -674,10 +683,9 @@ func (s *Session) Deliver(np netem.Packet, at time.Duration) {
 			// Padding: CC accounting only.
 		default:
 			s.handleMedia(pkt, at)
-			if s.fecDec != nil {
-				for _, rec := range s.fecDec.OnMedia(pkt.SequenceNumber) {
-					s.handleMedia(rec, at)
-				}
+			if s.fec != nil {
+				s.fec.out = s.fec.dec.OnMedia(s.fec.out[:0], pkt.SequenceNumber)
+				s.handleRecovered(at)
 			}
 		}
 		if s.soleHolder() {
@@ -685,11 +693,20 @@ func (s *Session) Deliver(np netem.Packet, at time.Duration) {
 		}
 	case *fec.Repair:
 		s.recorder.OnPacket(pkt.TransportSeq, at, np.Size)
-		if s.fecDec != nil {
-			for _, rec := range s.fecDec.OnRepair(pkt) {
-				s.handleMedia(rec, at)
-			}
+		if s.fec != nil {
+			s.fec.out = s.fec.dec.OnRepair(s.fec.out[:0], pkt)
+			s.handleRecovered(at)
+			s.fec.enc.Release(pkt)
 		}
+	}
+}
+
+// handleRecovered pushes the packets the FEC decoder just recovered
+// through the receive pipeline. They live in the decoder's storage, which
+// handleMedia never reaches back into.
+func (s *Session) handleRecovered(at time.Duration) {
+	for _, rec := range s.fec.out {
+		s.handleMedia(rec, at)
 	}
 }
 
@@ -748,8 +765,8 @@ func (s *Session) onFeedback(np netem.Packet, at time.Duration) {
 	}
 	// With FEC on, the controller budgets the media share of the
 	// estimate; repairs consume the rest.
-	if s.fecEnc != nil {
-		snap.Target = units.BitsPerSec(float64(snap.Target) / (1 + s.fecEnc.Overhead()))
+	if s.fec != nil {
+		snap.Target = units.BitsPerSec(float64(snap.Target) / (1 + s.fec.enc.Overhead()))
 	}
 	s.cfg.Controller.OnFeedback(at, snap)
 	if rep.PLI {
@@ -840,14 +857,14 @@ func (s *Session) capture() {
 	}
 	ps := s.acquirePending()
 	ps.pkts = s.packetizer.PacketizeAppend(ps.pkts, ef)
-	if s.fecEnc != nil {
+	if s.fec != nil {
 		for _, p := range ps.pkts {
-			if rep := s.fecEnc.Add(p); rep != nil {
+			if rep := s.fec.enc.Add(p); rep != nil {
 				ps.repairs = append(ps.repairs, rep)
 			}
 		}
 		// Frame-aligned flush: repairs never wait for the next frame.
-		if rep := s.fecEnc.Flush(); rep != nil {
+		if rep := s.fec.enc.Flush(); rep != nil {
 			ps.repairs = append(ps.repairs, rep)
 		}
 		for _, rep := range ps.repairs {
@@ -973,19 +990,19 @@ func (s *Session) Result() Result {
 		NacksSent:      s.nacksSent,
 		Retransmitted:  s.retransmitted,
 		FECRepairs:     s.fecRepairs,
-		FECRecovered:   fecRecovered(s.fecDec),
+		FECRecovered:   s.fecRecovered(),
 		ControllerName: s.cfg.Controller.Name(),
 		EstimatorName:  s.est.Name(),
 		FrameInterval:  s.frameInterval,
 	}
 }
 
-// fecRecovered reads the decoder counter, tolerating a nil decoder.
-func fecRecovered(d *fec.Decoder) int {
-	if d == nil {
+// fecRecovered reads the decoder counter: zero with FEC off.
+func (s *Session) fecRecovered() int {
+	if s.fec == nil {
 		return 0
 	}
-	return d.Recovered()
+	return s.fec.dec.Recovered()
 }
 
 // Run executes one session end to end: the common single-flow entry point.

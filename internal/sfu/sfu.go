@@ -106,8 +106,6 @@ type ReceiverConfig struct {
 	Name string
 	// Downlink carries packets from the SFU to this receiver. Required.
 	Downlink *netem.Link
-	// LatenessBudget bounds rendering staleness (zero: 600 ms).
-	LatenessBudget time.Duration
 	// FeedbackInterval is the receiver's report cadence to the SFU
 	// (zero: 50 ms). Reports drive the SFU's per-receiver estimator.
 	FeedbackInterval time.Duration
@@ -167,9 +165,6 @@ func NewReceiver(sched *simtime.Scheduler, node *Node, cfg ReceiverConfig) *Rece
 		lastPLI:    -time.Hour,
 	}
 	r.reasm.Horizon = 15
-	if cfg.LatenessBudget != 0 {
-		r.jbuf.LatenessBudget = cfg.LatenessBudget
-	}
 	cfg.Downlink.SetReceiver(netem.ReceiverFunc(r.deliver))
 	sched.Tick(cfg.FeedbackInterval, r.feedbackTick)
 	node.AddReceiver(r)
