@@ -47,7 +47,9 @@ lint-budget:
 # FuzzSchedulerEquivalence compares the timer wheel against the test-only
 # reference model of the scheduler (a plain slice scanned for the minimum);
 # FuzzFECEquivalence compares the recycled FEC encoder and decoder against
-# the map-based ones they replaced.
+# the map-based ones they replaced; FuzzSourceEquivalence the lazily seeded
+# PRNG source against math/rand's; FuzzSummarizeEquivalence the reused,
+# selecting Summarizer against the sort-based Summarize it replaced.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReportUnmarshal -fuzztime=$(FUZZTIME) ./internal/fb
 	$(GO) test -run='^$$' -fuzz=FuzzPacketUnmarshal -fuzztime=$(FUZZTIME) ./internal/rtp
@@ -58,6 +60,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/simtime
 	$(GO) test -run='^$$' -fuzz=FuzzFECEquivalence -fuzztime=$(FUZZTIME) ./internal/fec
+	$(GO) test -run='^$$' -fuzz=FuzzSourceEquivalence -fuzztime=$(FUZZTIME) ./internal/stats
+	$(GO) test -run='^$$' -fuzz=FuzzSummarizeEquivalence -fuzztime=$(FUZZTIME) ./internal/metrics
 	$(GO) test -run='^$$' -fuzz=FuzzShellReuse -fuzztime=$(FUZZTIME) ./internal/session
 
 # Record a short figure-1 session in all three export formats, then diff
@@ -103,21 +107,24 @@ bench-parallel:
 	$(GO) test -run='^$$' -bench='BenchmarkRunner(Sequential|Parallel)' -benchtime=3x ./internal/experiments
 
 # Fast allocation- and complexity-regression gate for CI: run the
-# allocation budget tests (AllocsPerRun gates per layer, the
-# whole-session marginal-bytes gates with and without NACK, the fleet's
-# bytes per recycled session and the experiment runner's bytes per drop
-# cell and per Figure 5 fec+nack cell on a warm worker), the FEC encoder
-# and decoder steady states, the complexity tests (scheduler Step at 16k vs 1k
-# standing timers, cancel-and-replace at 4k vs 256 pending events, and
+# allocation budget tests (AllocsPerRun gates per layer and a warm
+# Summarizer, the whole-session marginal-bytes gates with and without
+# NACK, the Session's size class, the fleet's bytes per recycled session
+# and the experiment runner's bytes per drop cell and per Figure 5
+# fec+nack cell on a warm worker), the FEC encoder and decoder steady
+# states, the complexity tests (scheduler Step at 16k vs 1k standing
+# timers, cancel-and-replace at 4k vs 256 pending events, and
 # retransmission-buffer Store at 4096 vs 64 packets, each measured in one
 # process and bounded at 2x, where an O(n) walk shows up at the size
-# ratio), then run the hot-path micro-benchmarks at one iteration each
-# as a compile-and-run check. Nothing compares ns/op across hosts:
+# ratio), the seeding cost test (a PRNG reseed plus one draw against a
+# reseed plus 607 draws, bounded at 0.25x, where eager seeding shows up),
+# then run the hot-path micro-benchmarks at one iteration each as a
+# compile-and-run check. Nothing compares ns/op across hosts:
 # end-to-end speed is rtcbench's job (cmd/rtcbench/README.md).
 bench-smoke:
-	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|AllocPerCell|CostIndependentOfDepth|CostIndependentOfCapacity' -v \
+	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|AllocPerCell|SizeClass|CostIndependentOfDepth|CostIndependentOfCapacity|CostScalesWithDraws' -v \
 		./internal/simtime ./internal/netem ./internal/rtp ./internal/fec \
-		./internal/session ./internal/stats ./internal/fleet ./internal/experiments
+		./internal/session ./internal/stats ./internal/metrics ./internal/fleet ./internal/experiments
 	$(GO) test -run='^$$' -bench='BenchmarkScheduler|BenchmarkLinkSaturated|BenchmarkPacketizeReuse' \
 		-benchtime=1x -benchmem ./internal/simtime ./internal/netem ./internal/rtp
 

@@ -83,8 +83,8 @@ func (r *Runner) Figure8(seeds []int64) []Figure8Row {
 			panic(fmt.Sprintf("experiments: bad figure8 config: %v", err))
 		}
 		res := w.run(cfg)
-		post := metrics.Summarize(res.Records, dropAt, dropAt+5*time.Second, res.FrameInterval)
-		late := metrics.Summarize(res.Records, 20*time.Second, 30*time.Second, res.FrameInterval)
+		post := w.summ.Summarize(res.Records, dropAt, dropAt+5*time.Second, res.FrameInterval)
+		late := w.summ.Summarize(res.Records, 20*time.Second, 30*time.Second, res.FrameInterval)
 		return sample{
 			p95:  post.P95NetDelay.Seconds(),
 			rate: late.Bitrate,

@@ -167,8 +167,8 @@ func (w *worker) runDrop(sc DropScenario, kind ControllerKind, seed int64) sessi
 const PostDropWindow = 5 * time.Second
 
 // postDrop summarizes the window [DropAt, DropAt+PostDropWindow).
-func postDrop(sc DropScenario, res session.Result) metrics.Report {
-	return metrics.Summarize(res.Records, sc.DropAt, sc.DropAt+PostDropWindow, res.FrameInterval)
+func (w *worker) postDrop(sc DropScenario, res session.Result) metrics.Report {
+	return w.summ.Summarize(res.Records, sc.DropAt, sc.DropAt+PostDropWindow, res.FrameInterval)
 }
 
 // ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ func (r *Runner) Figure7(seeds []int64) []Figure7Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure7 %s seed=%d", c.pairing.name, c.seed)
-	}, func(_ *worker, i int) sample {
+	}, func(w *worker, i int) sample {
 		c := cells[i]
 		results := session.RunShared(
 			session.SharedConfig{Trace: trace.Constant(3e6), Seed: c.seed + 500},
@@ -92,9 +92,9 @@ func (r *Runner) Figure7(seeds []int64) []Figure7Row {
 				},
 			},
 		)
-		a := metrics.Summarize(results[0].Records, 20*time.Second, 30*time.Second, results[0].FrameInterval)
-		b := metrics.Summarize(results[1].Records, 20*time.Second, 30*time.Second, results[1].FrameInterval)
-		post := metrics.Summarize(results[0].Records, joinAt, joinAt+5*time.Second, results[0].FrameInterval)
+		a := w.summ.Summarize(results[0].Records, 20*time.Second, 30*time.Second, results[0].FrameInterval)
+		b := w.summ.Summarize(results[1].Records, 20*time.Second, 30*time.Second, results[1].FrameInterval)
+		post := w.summ.Summarize(results[0].Records, joinAt, joinAt+5*time.Second, results[0].FrameInterval)
 		return sample{
 			rateA: a.Bitrate,
 			rateB: b.Bitrate,

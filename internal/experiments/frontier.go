@@ -82,7 +82,7 @@ func (r *Runner) Frontier(g scenario.Grid, seeds []int64) (FrontierResult, error
 		res := w.run(buildConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration, core.AdaptiveConfig{}))
 		dropAt := c.point.Scenario.Phases[0].Duration
 		windowEnd := dropAt + c.point.DropDur + PostDropWindow
-		return metrics.Summarize(res.Records, dropAt, windowEnd, res.FrameInterval).P95NetDelay.Seconds()
+		return w.summ.Summarize(res.Records, dropAt, windowEnd, res.FrameInterval).P95NetDelay.Seconds()
 	})
 
 	out := FrontierResult{Seeds: seeds}
@@ -248,7 +248,7 @@ func (r *Runner) ScenarioTable(scenarios []scenario.Scenario, kinds []Controller
 		c := cells[i]
 		path := mustCompile(c.sc, scenario.CompileConfig{Seed: c.seed, Duration: dur})
 		res := w.run(buildConfig(path, video.TalkingHead, c.kind, c.seed, path.Duration, core.AdaptiveConfig{}))
-		return metrics.SummarizeAll(res.Records, res.FrameInterval)
+		return res.Report
 	})
 
 	var rows []ScenarioRow

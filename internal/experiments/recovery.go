@@ -91,7 +91,7 @@ func (r *Runner) Figure10(seeds []int64) []Figure10Row {
 				break
 			}
 		}
-		post := metrics.Summarize(res.Records, restoreAt, restoreAt+15*time.Second, res.FrameInterval)
+		post := w.summ.Summarize(res.Records, restoreAt, restoreAt+15*time.Second, res.FrameInterval)
 		return sample{reclaim: rt.Seconds(), ssim: post.MeanSSIM}
 	})
 

@@ -82,7 +82,7 @@ func (r *Runner) Figure6(seeds []int64) []Figure6Row {
 		}
 		cfg.ApplyPath(mustCompile(scenario.StepDrop(2.5e6, units.BitsPerSec(c.after), dropAt, 20*time.Second), scenario.CompileConfig{}))
 		res := w.run(cfg)
-		post := metrics.Summarize(res.Records, dropAt, dropAt+10*time.Second, res.FrameInterval)
+		post := w.summ.Summarize(res.Records, dropAt, dropAt+10*time.Second, res.FrameInterval)
 		out := sample{
 			ssim:     post.MeanSSIM,
 			p95:      post.P95NetDelay.Seconds(),

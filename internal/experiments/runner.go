@@ -77,7 +77,7 @@ func (r *Runner) drop(w *worker, sc DropScenario, kind ControllerKind, seed int6
 		}
 	}
 	res := w.runDrop(sc, kind, seed)
-	rep := dropReports{post: postDrop(sc, res), session: res.Report}
+	rep := dropReports{post: w.postDrop(sc, res), session: res.Report}
 	if r != nil {
 		r.mu.Lock()
 		if r.drops == nil {
@@ -108,11 +108,13 @@ func Map[T any](r *Runner, n int, label func(int) string, fn func(int) T) []T {
 	return mapCells(r, n, label, func(_ *worker, i int) T { return fn(i) })
 }
 
-// worker is one pool goroutine's session memory: a shell and the
-// scheduler it runs on, both kept for the length of one mapCells call.
+// worker is one pool goroutine's session memory: a shell, the scheduler
+// it runs on and the Summarizer its cells reduce ledgers with, all kept
+// for the length of one mapCells call.
 type worker struct {
 	shell session.Shell
 	sched *simtime.Scheduler
+	summ  metrics.Summarizer
 }
 
 // run executes cfg in the worker's shell. The Result is borrowed: its

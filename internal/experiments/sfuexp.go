@@ -65,7 +65,7 @@ func (r *Runner) Figure9(seeds []int64) []Figure9Row {
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure9 layer-selection=%t seed=%d", c.layerSel, c.seed)
-	}, func(_ *worker, i int) [len(figure9Receivers)]recvSample {
+	}, func(w *worker, i int) [len(figure9Receivers)]recvSample {
 		c := cells[i]
 		sched := simtime.NewScheduler()
 		uplink := netem.NewLink(sched, netem.Config{Trace: trace.Constant(2.5e6), Seed: c.seed})
@@ -95,7 +95,7 @@ func (r *Runner) Figure9(seeds []int64) []Figure9Row {
 		ledger := sender.CaptureLedger()
 		var out [len(figure9Receivers)]recvSample
 		for ri, recv := range receivers {
-			rep := metrics.SummarizeAll(recv.Records(ledger), 33*time.Millisecond)
+			rep := w.summ.SummarizeAll(recv.Records(ledger), 33*time.Millisecond)
 			out[ri] = recvSample{
 				p95:  rep.P95NetDelay,
 				frac: float64(rep.DeliveredFrames) / float64(rep.Frames),

@@ -273,7 +273,7 @@ func (r *Runner) Table3(seeds []int64) []Table3Row {
 		c := cells[i]
 		res := w.run(buildConfig(sc.path(), sc.Content, KindAdaptive, c.seed,
 			sc.DropAt+20*time.Second, variants[c.variant].cfg))
-		return sample{p95: postDrop(sc, res).P95NetDelay.Seconds(), ssim: res.Report.MeanSSIM}
+		return sample{p95: w.postDrop(sc, res).P95NetDelay.Seconds(), ssim: res.Report.MeanSSIM}
 	})
 
 	var rows []Table3Row

@@ -120,17 +120,41 @@ type Report struct {
 	Span time.Duration
 }
 
+// Summarizer aggregates ledgers into Reports, keeping the two delay
+// sample buffers a Report's percentiles are selected from between calls:
+// once warm on the longest window it sees, a Summarizer allocates nothing.
+// The zero value is ready to use. A Summarizer is not safe for
+// concurrent use; each session and each experiment worker owns one.
+type Summarizer struct {
+	net, disp stats.Summary
+}
+
+// Summarize aggregates records whose capture time falls in [from, to),
+// in a throwaway Summarizer.
+func Summarize(records []FrameRecord, from, to time.Duration, frameInterval time.Duration) Report {
+	var z Summarizer
+	return z.Summarize(records, from, to, frameInterval)
+}
+
+// SummarizeAll aggregates the full ledger in a throwaway Summarizer.
+func SummarizeAll(records []FrameRecord, frameInterval time.Duration) Report {
+	var z Summarizer
+	return z.SummarizeAll(records, frameInterval)
+}
+
 // Summarize aggregates records whose capture time falls in [from, to).
 // frameInterval is used for freeze-duration accounting; a zero value
 // defaults to 33 ms.
-func Summarize(records []FrameRecord, from, to time.Duration, frameInterval time.Duration) Report {
+func (z *Summarizer) Summarize(records []FrameRecord, from, to time.Duration, frameInterval time.Duration) Report {
 	if frameInterval <= 0 {
 		frameInterval = 33 * time.Millisecond
 	}
 	var rep Report
-	var net, disp stats.Summary
-	// Size the sample buffers exactly: one allocation each instead of
-	// append's doublings.
+	net, disp := &z.net, &z.disp
+	net.Reset()
+	disp.Reset()
+	// Size the sample buffers exactly: at most one allocation each
+	// instead of append's doublings, and none once they are that large.
 	nNet, nDisp := 0, 0
 	for _, r := range records {
 		if r.CaptureTS < from || r.CaptureTS >= to {
@@ -196,8 +220,7 @@ func Summarize(records []FrameRecord, from, to time.Duration, frameInterval time
 		if rep.DeliveredFrames > 0 {
 			rep.EncodedSSIM = encSSIMSum / float64(rep.DeliveredFrames)
 		}
-		span := to - from
-		if span > 0 && to != time.Duration(1<<62) {
+		if span := to - from; span > 0 {
 			rep.Bitrate = bits / span.Seconds()
 			rep.Span = span
 		}
@@ -217,7 +240,7 @@ func Summarize(records []FrameRecord, from, to time.Duration, frameInterval time
 
 // SummarizeAll aggregates the full ledger. The bitrate is computed over the
 // span of observed capture times.
-func SummarizeAll(records []FrameRecord, frameInterval time.Duration) Report {
+func (z *Summarizer) SummarizeAll(records []FrameRecord, frameInterval time.Duration) Report {
 	if len(records) == 0 {
 		return Report{}
 	}
@@ -230,7 +253,7 @@ func SummarizeAll(records []FrameRecord, frameInterval time.Duration) Report {
 			hi = r.CaptureTS
 		}
 	}
-	return Summarize(records, lo, hi+frameInterval, frameInterval)
+	return z.Summarize(records, lo, hi+frameInterval, frameInterval)
 }
 
 // arrived reports whether the frame completed at the receiver (displayed

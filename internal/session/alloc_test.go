@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/scenario"
@@ -96,5 +97,20 @@ func TestNackSessionAllocBudget(t *testing.T) {
 	t.Logf("30 s session %d B, 60 s session %d B, marginal %.0f B per virtual second", short, long, perVS)
 	if perVS > nackSessionAllocBudgetPerVS {
 		t.Fatalf("a NACK session allocates %.0f B per virtual second, budget %d", perVS, nackSessionAllocBudgetPerVS)
+	}
+}
+
+// TestSessionSizeClass pins a Session, with the 8-byte malloc header every
+// object over 512 bytes with pointers carries, inside the runtime's
+// 768-byte size class. Sessions built outside a shell (RunShared, the SFU
+// cells, shared-16flow's sixteen flows) pay one such allocation each: a
+// Session that once grew into the 896-byte class cost shared-16flow about
+// 30 KB per batch. Keep new state behind a pointer (as fecParts and the
+// Summarizer are) rather than let the struct cross the class boundary.
+func TestSessionSizeClass(t *testing.T) {
+	const mallocHeader, sizeClass = 8, 768
+	if size := unsafe.Sizeof(Session{}) + mallocHeader; size > sizeClass {
+		t.Fatalf("a Session takes %d B with its malloc header, past the %d B size class: "+
+			"the 896 B class cost shared-16flow ~30 KB per batch when fresh sessions last crossed it", size, sizeClass)
 	}
 }

@@ -248,6 +248,10 @@ type Session struct {
 	lastPLI           time.Duration
 	keyframeRequested bool
 	frameInterval     time.Duration
+
+	// summ selects the Report's percentiles in buffers a recycled session
+	// keeps; Result builds it on first use.
+	summ *metrics.Summarizer
 }
 
 // spareParts are the optional components with storage worth keeping: the
@@ -268,8 +272,9 @@ type spareParts struct {
 // neither: the sender's encoder, the receiver's decoder and the slice the
 // decoder appends one delivery's recovered packets to. A Session holds it
 // through one pointer to stay in the 768-byte size class (with its 8-byte
-// malloc header it takes 744 bytes); separate fields for the three moved
-// every session built outside a shell into the 896-byte class.
+// malloc header it takes 752 bytes; TestSessionSizeClass pins it);
+// separate fields for the three moved every session built outside a shell
+// into the 896-byte class.
 type fecParts struct {
 	enc fec.GroupEncoder
 	dec fec.Decoder
@@ -409,6 +414,7 @@ func (s *Session) init(sched *simtime.Scheduler, cfg Config) {
 		timeline:   s.timeline[:0],
 		sendPool:   s.sendPool,
 		reports:    s.reports,
+		summ:       s.summ,
 	}
 
 	if cfg.VideoSource != nil {
@@ -982,7 +988,7 @@ func (s *Session) Result() Result {
 		Audio:          audioRep,
 		ProbeClusters:  probeClusters,
 		ProbesApplied:  probesApplied,
-		Report:         metrics.SummarizeAll(records, s.frameInterval),
+		Report:         reuse(&s.summ).SummarizeAll(records, s.frameInterval),
 		Timeline:       s.timeline,
 		LinkStats:      s.forward.Stats(),
 		PacerDropped:   s.pc.Dropped(),

@@ -3,6 +3,7 @@ package session
 import (
 	"time"
 
+	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/netem"
 	"rtcadapt/internal/simtime"
 	"rtcadapt/internal/trace"
@@ -59,8 +60,12 @@ func RunShared(shared SharedConfig, flows []Config) []Result {
 	}
 	sched.RunUntil(end)
 
+	// The flows summarize one after another, so one Summarizer serves
+	// them all.
+	summ := new(metrics.Summarizer)
 	results := make([]Result, len(sessions))
 	for i, s := range sessions {
+		s.summ = summ
 		results[i] = s.Result()
 	}
 	return results

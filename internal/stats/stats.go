@@ -10,8 +10,8 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // EWMA is an exponentially weighted moving average. The zero value is empty;
@@ -201,11 +201,17 @@ func (q *entryRing) push(e minEntry) {
 
 // Summary computes order statistics over a recorded sample set. Samples are
 // kept in full; simulations are small enough that sketching is unnecessary,
-// and exact percentiles make tests deterministic.
+// and exact percentiles make tests deterministic. Quantiles select their
+// order statistics in place (see selectNth) rather than sorting, and Reset
+// keeps the buffer, so a Summary reused across sample sets allocates only
+// when one outgrows every set before it.
 type Summary struct {
 	samples []float64
-	sorted  bool
 	sum     float64
+	// fixed is one more than the index of the last order statistic
+	// selected, or zero: samples is partitioned around that index, so the
+	// next selection searches only the side it falls on. Add clears it.
+	fixed int
 }
 
 // Grow reserves room for n more samples, so a caller that knows its
@@ -213,10 +219,13 @@ type Summary struct {
 // doublings.
 func (s *Summary) Grow(n int) { s.samples = slices.Grow(s.samples, n) }
 
+// Reset empties the summary, keeping its buffer.
+func (s *Summary) Reset() { s.samples, s.sum = s.samples[:0], 0 }
+
 // Add records a sample.
 func (s *Summary) Add(v float64) {
 	s.samples = append(s.samples, v)
-	s.sorted = false
+	s.fixed = 0
 	s.sum += v
 }
 
@@ -250,53 +259,142 @@ func (s *Summary) Stddev() float64 {
 	return math.Sqrt(ss / float64(n))
 }
 
-func (s *Summary) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
-	}
-}
-
 // Quantile returns the q-th quantile (q in [0,1]) using linear
 // interpolation between order statistics. Empty summaries return zero.
+// The order statistics are the values sort.Float64s would put at those
+// positions (NaN first), so the result is exactly a sorted summary's.
 func (s *Summary) Quantile(q float64) float64 {
 	if len(s.samples) == 0 {
 		return 0
 	}
 	if q <= 0 {
-		s.ensureSorted()
-		return s.samples[0]
+		return s.Min()
 	}
 	if q >= 1 {
-		s.ensureSorted()
-		return s.samples[len(s.samples)-1]
+		return s.Max()
 	}
-	s.ensureSorted()
 	pos := q * float64(len(s.samples)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
+	s.selectNth(lo)
 	if lo == hi {
 		return s.samples[lo]
 	}
+	// Everything past lo is no less than it, so the next order
+	// statistic is the least of them.
 	frac := pos - float64(lo)
-	return s.samples[lo]*(1-frac) + s.samples[hi]*frac
+	return s.samples[lo]*(1-frac) + extreme(s.samples[hi:], floatLess)*frac
 }
 
 // Min returns the smallest sample, or zero for an empty summary.
-func (s *Summary) Min() float64 { return s.Quantile(0) }
+func (s *Summary) Min() float64 { return extreme(s.samples, floatLess) }
 
 // Max returns the largest sample, or zero for an empty summary.
-func (s *Summary) Max() float64 { return s.Quantile(1) }
+func (s *Summary) Max() float64 {
+	return extreme(s.samples, func(a, b float64) bool { return floatLess(b, a) })
+}
 
 // Samples returns a copy of the recorded samples. The order is
-// unspecified: any preceding Quantile/Min/Max call sorts the backing
-// array in place, so callers that need insertion order must record it
-// themselves. Mutating the returned slice never affects the Summary.
-// Use for CDF rendering (sort the copy first).
+// unspecified: any preceding Quantile call reorders the backing array in
+// place, so callers that need insertion order must record it themselves.
+// Mutating the returned slice never affects the Summary. Use for CDF
+// rendering (sort the copy first).
 func (s *Summary) Samples() []float64 {
 	out := make([]float64, len(s.samples))
 	copy(out, s.samples)
 	return out
+}
+
+// floatLess is sort.Float64s's order: ascending, with NaN before every
+// number.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// extreme returns the element of a that comes first under before (the
+// earliest of equals), or zero when a is empty.
+func extreme(a []float64, before func(a, b float64) bool) float64 {
+	if len(a) == 0 {
+		return 0
+	}
+	m := a[0]
+	for _, v := range a[1:] {
+		if before(v, m) {
+			m = v
+		}
+	}
+	return m
+}
+
+// selectNth reorders the samples so that samples[k] is the k-th order
+// statistic, with nothing after it less and nothing before it greater:
+// quickselect with a median-of-three pivot and a three-way partition, so
+// runs of ties cost one pass. After a previous selection it searches only
+// the side of that partition k falls on, so quantiles asked for in
+// increasing order cost about one pass over the samples between them. A
+// range that has not shrunk to insertion-sort size within 2·log2(n)
+// partitions is sorted outright, which bounds the worst case at
+// O(n log n).
+func (s *Summary) selectNth(k int) {
+	a := s.samples
+	lo, hi := 0, len(a)
+	if j := s.fixed - 1; j >= 0 {
+		if k == j {
+			return
+		}
+		if k > j {
+			lo = j + 1
+		} else {
+			hi = j
+		}
+	}
+	s.fixed = k + 1
+	for budget := 2 * bits.Len(uint(hi-lo)); hi-lo > 12; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo:hi])
+			return
+		}
+		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case floatLess(v, p):
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case floatLess(p, v):
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && floatLess(a[j], a[j-1]); j-- {
+			a[j], a[j-1] = a[j-1], a[j]
+		}
+	}
+}
+
+// median3 returns the median of three values under floatLess.
+func median3(a, b, c float64) float64 {
+	if floatLess(b, a) {
+		a, b = b, a
+	}
+	if floatLess(c, b) {
+		b = c
+		if floatLess(b, a) {
+			b = a
+		}
+	}
+	return b
 }
 
 // Histogram is a fixed-bucket histogram over [min, max) with uniform bucket

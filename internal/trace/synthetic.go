@@ -8,6 +8,10 @@ import (
 	"rtcadapt/internal/units"
 )
 
+// pointCount bounds the samples a generator takes every step over dur,
+// so it can size its point slice once.
+func pointCount(dur, step time.Duration) int { return max(0, int(dur/step)+1) }
+
 // The LTE model's fade shape and slow-fading spread. No experiment varies
 // them, so they are constants rather than configuration.
 const (
@@ -50,7 +54,7 @@ func (c *LTEConfig) defaults() {
 func LTE(seed int64, dur time.Duration, cfg LTEConfig) *Trace {
 	cfg.defaults()
 	rng := stats.NewRand(seed)
-	var ps []Point
+	ps := make([]Point, 0, pointCount(dur, cfg.Step))
 	level := cfg.Mean
 	fadeLeft := time.Duration(0)
 	const ar = 0.9 // AR(1) pull toward the mean
@@ -107,7 +111,7 @@ func (c *WiFiConfig) defaults() {
 func WiFi(seed int64, dur time.Duration, cfg WiFiConfig) *Trace {
 	cfg.defaults()
 	rng := stats.NewRand(seed)
-	var ps []Point
+	ps := make([]Point, 0, pointCount(dur, cfg.Step))
 	for at := time.Duration(0); at < dur; at += cfg.Step {
 		bps := rng.Jitter(cfg.Mean, wifiSigma)
 		if rng.Bool(wifiContentionProb) {
@@ -126,7 +130,7 @@ func RandomWalk(seed int64, dur, step time.Duration, start, lo, hi float64) *Tra
 		panic("trace: RandomWalk step must be positive")
 	}
 	rng := stats.NewRand(seed)
-	var ps []Point
+	ps := make([]Point, 0, pointCount(dur, step))
 	level := start
 	for at := time.Duration(0); at < dur; at += step {
 		level = stats.Clamp(rng.Jitter(level, 0.1), lo, hi)

@@ -11,9 +11,11 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,7 +47,12 @@ func New(name string, points ...Point) (*Trace, error) {
 	}
 	ps := make([]Point, len(points))
 	copy(ps, points)
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].At < ps[j].At })
+	// Generators and files give their points in order; only others pay
+	// for the sort.
+	byAt := func(a, b Point) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(ps, byAt) {
+		slices.SortStableFunc(ps, byAt)
+	}
 	if ps[0].At != 0 {
 		return nil, fmt.Errorf("trace: first breakpoint at %v, want 0", ps[0].At)
 	}
