@@ -110,13 +110,14 @@ bench-parallel:
 # allocation budget tests (AllocsPerRun gates per layer and a warm
 # Summarizer, the whole-session marginal-bytes gates with and without
 # NACK, the Session's size class, the fleet's bytes per recycled session
-# and the experiment runner's bytes per drop cell and per Figure 5
-# fec+nack cell on a warm worker), the FEC encoder and decoder steady
-# states, the complexity tests (scheduler Step at 16k vs 1k standing
-# timers, cancel-and-replace at 4k vs 256 pending events, and
-# retransmission-buffer Store at 4096 vs 64 packets, each measured in one
-# process and bounded at 2x, where an O(n) walk shows up at the size
-# ratio), the seeding cost test (a PRNG reseed plus one draw against a
+# and the experiment runner's bytes per drop cell, per Figure 5 fec+nack
+# cell, per Figure 7 shared-link cell and per Figure 9 SFU cell on a warm
+# worker), the FEC encoder and decoder steady states, the complexity
+# tests (scheduler Step at 16k vs 1k standing timers, cancel-and-replace
+# at 4k vs 256 pending events, retransmission-buffer Store at 4096 vs 64
+# packets, and FEC decoder OnMedia with 4096 vs 64 kept groups, each
+# measured in one process and bounded at 2x, where an O(n) walk shows up
+# at the size ratio), the seeding cost test (a PRNG reseed plus one draw against a
 # reseed plus 607 draws, bounded at 0.25x, where eager seeding shows up),
 # then run the hot-path micro-benchmarks at one iteration each as a
 # compile-and-run check. Nothing compares ns/op across hosts:

@@ -56,7 +56,7 @@ func main() {
 
 		ledger := sender.CaptureLedger()
 		for _, r := range receivers {
-			rep := metrics.SummarizeAll(r.Records(ledger), 33*time.Millisecond)
+			rep := metrics.SummarizeAll(r.Records(nil, ledger), 33*time.Millisecond)
 			mode := "off"
 			if layerSel {
 				mode = "on"

@@ -20,21 +20,34 @@ import (
 // of what allocates per cell and why the worker cannot keep it.
 const cellAllocBudget = 4 << 10
 
-// table1Alloc returns the bytes a sequential Table 1 over seeds
-// allocates, the least of three runs so a stray runtime allocation cannot
-// fail the gate. Each run has a Runner of its own: a Runner remembers the
-// drop cells it has run, so a second Table 1 on it would run no session.
-func table1Alloc(seeds []int64) uint64 {
+// experimentAlloc returns the bytes one sequential run of an experiment
+// over seeds allocates, the least of three runs so a stray runtime
+// allocation cannot fail the gate. Each run has a Runner of its own: a
+// Runner remembers the drop cells it has run, so a second Table 1 on it
+// would run no session.
+func experimentAlloc(seeds []int64, run func(r *Runner, seeds []int64)) uint64 {
 	best := ^uint64(0)
 	for i := 0; i < 3; i++ {
 		r := &Runner{Workers: 1}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r.Table1(seeds)
+		run(r, seeds)
 		runtime.ReadMemStats(&after)
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
 	return best
+}
+
+// marginalCellAlloc returns the bytes each cell an experiment adds per
+// seed allocates once its worker is warm: the difference between a
+// two-seed and a one-seed sequential run, per added cell. The worker's
+// one-off shells and scheduler cancel out.
+func marginalCellAlloc(t *testing.T, cellsPerSeed int, run func(r *Runner, seeds []int64)) float64 {
+	t.Helper()
+	one, two := experimentAlloc([]int64{1}, run), experimentAlloc([]int64{1, 2}, run)
+	perCell := (float64(two) - float64(one)) / float64(cellsPerSeed)
+	t.Logf("%d cells %d B, %d cells %d B, marginal %.0f B per cell", cellsPerSeed, one, 2*cellsPerSeed, two, perCell)
+	return perCell
 }
 
 // TestRunnerAllocPerCell gates the marginal allocation of an experiment
@@ -46,10 +59,7 @@ func TestRunnerAllocPerCell(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under -race")
 	}
-	one, two := table1Alloc([]int64{1}), table1Alloc([]int64{1, 2})
-	cells := len(DropMatrix()) * 2
-	perCell := (float64(two) - float64(one)) / float64(cells)
-	t.Logf("%d cells %d B, %d cells %d B, marginal %.0f B per cell", cells, one, 2*cells, two, perCell)
+	perCell := marginalCellAlloc(t, len(DropMatrix())*2, func(r *Runner, seeds []int64) { r.Table1(seeds) })
 	if perCell > cellAllocBudget {
 		t.Fatalf("a drop cell allocates %.0f B, budget %d", perCell, cellAllocBudget)
 	}
@@ -83,5 +93,34 @@ func TestFECCellAllocPerCell(t *testing.T) {
 	t.Logf("a warm fec+nack cell allocates %d B", best)
 	if best > cellAllocBudget {
 		t.Fatalf("a warm fec+nack cell allocates %d B, budget %d", best, cellAllocBudget)
+	}
+}
+
+// TestFigure7AllocPerCell gates a Figure 7 cell, a two-flow run on a
+// shared bottleneck, on a warm worker: the worker's shared shell keeps
+// the bottleneck link, both flows' sessions and the demux, so a cell
+// costs what two drop cells' controllers and configs do.
+func TestFigure7AllocPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	perCell := marginalCellAlloc(t, 3, func(r *Runner, seeds []int64) { r.Figure7(seeds) })
+	if perCell > cellAllocBudget {
+		t.Fatalf("a Figure 7 cell allocates %.0f B, budget %d", perCell, cellAllocBudget)
+	}
+}
+
+// TestFigure9AllocPerCell gates a Figure 9 cell, a one-sender,
+// two-receiver SFU call, on a warm worker: the sender runs in the
+// worker's shell, and the worker keeps the uplink, the node, both
+// receivers with their clone pools and frame ledgers, and their
+// downlinks.
+func TestFigure9AllocPerCell(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	perCell := marginalCellAlloc(t, 2, func(r *Runner, seeds []int64) { r.Figure9(seeds) })
+	if perCell > cellAllocBudget {
+		t.Fatalf("a Figure 9 cell allocates %.0f B, budget %d", perCell, cellAllocBudget)
 	}
 }

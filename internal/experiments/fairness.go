@@ -37,19 +37,57 @@ type Figure7Row struct {
 // Figure7 runs the fairness pairings on the default parallel runner.
 func Figure7(seeds []int64) []Figure7Row { return (&Runner{}).Figure7(seeds) }
 
-// Figure7 runs the pairings {adaptive+adaptive, adaptive+native,
-// native+native} on a shared 3 Mbps link. Cells are (pairing, seed); one
-// cell is one two-flow shared-link run.
-func (r *Runner) Figure7(seeds []int64) []Figure7Row {
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
+// figure7JoinAt is when flow B joins the shared link.
+const figure7JoinAt = 10 * time.Second
+
+// figure7Pairing is one controller combination: the constructors of flow
+// A's and flow B's controllers.
+type figure7Pairing struct {
+	name     string
+	mkA, mkB func() core.Controller
+}
+
+// figure7Sample is what one cell measures.
+type figure7Sample struct{ rateA, rateB, jain, p95, ssim float64 }
+
+// figure7Cell runs one two-flow cell on a bottleneck with the given
+// capacity trace, in w's shared shell. The Results are borrowed, as
+// worker.run's is.
+func (w *worker) figure7Cell(bottleneck *trace.Trace, p figure7Pairing, seed int64) figure7Sample {
+	w.resetSched()
+	if w.shared == nil {
+		w.shared = new(session.SharedShell)
 	}
-	type pairing struct {
-		name string
-		mkA  func() core.Controller
-		mkB  func() core.Controller
+	results := w.shared.RunBorrowed(w.sched,
+		session.SharedConfig{Trace: bottleneck, Seed: seed + 500},
+		[]session.Config{
+			{
+				Duration: 30 * time.Second, Seed: seed,
+				Content: video.TalkingHead, InitialRate: 1e6,
+				Controller: p.mkA(),
+			},
+			{
+				Duration: 20 * time.Second, StartAt: figure7JoinAt, Seed: seed + 50,
+				Content: video.TalkingHead, InitialRate: 1e6,
+				Controller: p.mkB(),
+			},
+		},
+	)
+	a := w.summ.Summarize(results[0].Records, 20*time.Second, 30*time.Second, results[0].FrameInterval)
+	b := w.summ.Summarize(results[1].Records, 20*time.Second, 30*time.Second, results[1].FrameInterval)
+	post := w.summ.Summarize(results[0].Records, figure7JoinAt, figure7JoinAt+5*time.Second, results[0].FrameInterval)
+	return figure7Sample{
+		rateA: a.Bitrate,
+		rateB: b.Bitrate,
+		jain:  jainIndex(a.Bitrate, b.Bitrate),
+		p95:   post.P95NetDelay.Seconds(),
+		ssim:  results[0].Report.MeanSSIM,
 	}
-	pairings := []pairing{
+}
+
+// figure7Pairings are the pairings in row order.
+func figure7Pairings() []figure7Pairing {
+	return []figure7Pairing{
 		{"adaptive+adaptive",
 			func() core.Controller { return core.NewAdaptive(core.AdaptiveConfig{}) },
 			func() core.Controller { return core.NewAdaptive(core.AdaptiveConfig{}) }},
@@ -60,9 +98,20 @@ func (r *Runner) Figure7(seeds []int64) []Figure7Row {
 			func() core.Controller { return core.NewNativeRC() },
 			func() core.Controller { return core.NewNativeRC() }},
 	}
-	joinAt := 10 * time.Second
+}
+
+// Figure7 runs the pairings {adaptive+adaptive, adaptive+native,
+// native+native} on a shared 3 Mbps link. Cells are (pairing, seed); one
+// cell is one two-flow shared-link run.
+func (r *Runner) Figure7(seeds []int64) []Figure7Row {
+	if len(seeds) == 0 {
+		seeds = DefaultSeeds()
+	}
+	pairings := figure7Pairings()
+	// Traces are read-only, so every cell's bottleneck shares one.
+	bottleneck := trace.Constant(3e6)
 	type cell struct {
-		pairing pairing
+		pairing figure7Pairing
 		seed    int64
 	}
 	cells := make([]cell, 0, len(pairings)*len(seeds))
@@ -71,37 +120,11 @@ func (r *Runner) Figure7(seeds []int64) []Figure7Row {
 			cells = append(cells, cell{pairing: p, seed: seed})
 		}
 	}
-	type sample struct{ rateA, rateB, jain, p95, ssim float64 }
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
 		return fmt.Sprintf("figure7 %s seed=%d", c.pairing.name, c.seed)
-	}, func(w *worker, i int) sample {
-		c := cells[i]
-		results := session.RunShared(
-			session.SharedConfig{Trace: trace.Constant(3e6), Seed: c.seed + 500},
-			[]session.Config{
-				{
-					Duration: 30 * time.Second, Seed: c.seed,
-					Content: video.TalkingHead, InitialRate: 1e6,
-					Controller: c.pairing.mkA(),
-				},
-				{
-					Duration: 20 * time.Second, StartAt: joinAt, Seed: c.seed + 50,
-					Content: video.TalkingHead, InitialRate: 1e6,
-					Controller: c.pairing.mkB(),
-				},
-			},
-		)
-		a := w.summ.Summarize(results[0].Records, 20*time.Second, 30*time.Second, results[0].FrameInterval)
-		b := w.summ.Summarize(results[1].Records, 20*time.Second, 30*time.Second, results[1].FrameInterval)
-		post := w.summ.Summarize(results[0].Records, joinAt, joinAt+5*time.Second, results[0].FrameInterval)
-		return sample{
-			rateA: a.Bitrate,
-			rateB: b.Bitrate,
-			jain:  jainIndex(a.Bitrate, b.Bitrate),
-			p95:   post.P95NetDelay.Seconds(),
-			ssim:  results[0].Report.MeanSSIM,
-		}
+	}, func(w *worker, i int) figure7Sample {
+		return w.figure7Cell(bottleneck, cells[i].pairing, cells[i].seed)
 	})
 
 	var rows []Figure7Row

@@ -16,11 +16,12 @@ import (
 // (never by completion order), which makes parallel output byte-identical
 // to a sequential run.
 //
-// Each worker goroutine runs its cells one after another in a session
-// shell and scheduler it owns for one experiment call (see worker), so a
-// cell rebuilds the previous cell's session in place instead of
-// allocating one; a recycled run is byte-identical to a fresh one. The
-// shells are dropped when the call returns: a Runner holds none.
+// Each worker goroutine runs its cells one after another in memory it
+// owns for one experiment call (see worker): a session shell, a shell for
+// shared-bottleneck runs, an SFU call's parts and the scheduler they run
+// on. A cell rebuilds the previous cell's sessions in place instead of
+// allocating them; a recycled run is byte-identical to a fresh one. The
+// workers are dropped when the call returns: a Runner holds no shell.
 //
 // A Runner remembers the drop cells it has run — one session per
 // (drop, controller, seed), kept as its post-drop and whole-session
@@ -108,24 +109,35 @@ func Map[T any](r *Runner, n int, label func(int) string, fn func(int) T) []T {
 	return mapCells(r, n, label, func(_ *worker, i int) T { return fn(i) })
 }
 
-// worker is one pool goroutine's session memory: a shell, the scheduler
-// it runs on and the Summarizer its cells reduce ledgers with, all kept
-// for the length of one mapCells call.
+// worker is one pool goroutine's session memory, kept for the length of
+// one mapCells call: a shell for single-link sessions (and the SFU's
+// sender), the Summarizer its cells reduce ledgers with, and, built on
+// first use, the scheduler every run is on, a shared-bottleneck shell
+// (Figure 7) and an SFU call's parts (Figure 9). Every cell of the
+// figure suite runs in this memory.
 type worker struct {
-	shell session.Shell
-	sched *simtime.Scheduler
-	summ  metrics.Summarizer
+	shell  session.Shell
+	sched  *simtime.Scheduler
+	summ   metrics.Summarizer
+	shared *session.SharedShell
+	call   *sfuCall
+}
+
+// resetSched readies the worker's scheduler for the next run: built on
+// first use, Reset after.
+func (w *worker) resetSched() {
+	if w.sched == nil {
+		w.sched = simtime.NewScheduler()
+	} else {
+		w.sched.Reset()
+	}
 }
 
 // run executes cfg in the worker's shell. The Result is borrowed: its
 // Records and Timeline are overwritten by the worker's next run, so a
 // cell reduces it, or copies what it keeps, before returning.
 func (w *worker) run(cfg session.Config) session.Result {
-	if w.sched == nil {
-		w.sched = simtime.NewScheduler()
-	} else {
-		w.sched.Reset()
-	}
+	w.resetSched()
 	return w.shell.RunBorrowed(w.sched, cfg)
 }
 

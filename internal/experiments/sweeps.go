@@ -336,8 +336,9 @@ func Figure4(seeds []int64) []Figure4Row { return (&Runner{}).Figure4(seeds) }
 
 // Figure4 runs 60 s sessions on synthetic LTE and WiFi traces across all
 // content classes and controllers. Cells are (trace, content, controller,
-// seed); each cell compiles its own private path from the model scenario
-// so concurrent sessions never share one.
+// seed). Each (trace, seed) path is compiled once, before the cells run,
+// and shared by the cells of every content and controller: a compiled
+// path is read-only, so concurrent sessions may share one.
 func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 	if len(seeds) == 0 {
 		seeds = DefaultSeeds()
@@ -354,18 +355,24 @@ func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 	}
 	contents := []video.Class{video.TalkingHead, video.ScreenShare, video.Gaming, video.Sports}
 	kinds := []ControllerKind{KindNative, KindResetOnly, KindAdaptive}
+	paths := make([][]scenario.Path, len(gens))
+	for gi, g := range gens {
+		paths[gi] = make([]scenario.Path, len(seeds))
+		for si, seed := range seeds {
+			paths[gi][si] = mustCompile(g.sc, scenario.CompileConfig{Seed: seed + g.seedOffset, Duration: 60 * time.Second})
+		}
+	}
 	type cell struct {
-		gen     traceGen
-		content video.Class
-		kind    ControllerKind
-		seed    int64
+		gen, seed int // indices into gens and seeds
+		content   video.Class
+		kind      ControllerKind
 	}
 	cells := make([]cell, 0, len(gens)*len(contents)*len(kinds)*len(seeds))
-	for _, g := range gens {
+	for gi := range gens {
 		for _, content := range contents {
 			for _, kind := range kinds {
-				for _, seed := range seeds {
-					cells = append(cells, cell{gen: g, content: content, kind: kind, seed: seed})
+				for si := range seeds {
+					cells = append(cells, cell{gen: gi, seed: si, content: content, kind: kind})
 				}
 			}
 		}
@@ -373,11 +380,11 @@ func (r *Runner) Figure4(seeds []int64) []Figure4Row {
 	type sample struct{ p95, ssim, freeze, mos float64 }
 	samples := mapCells(r, len(cells), func(i int) string {
 		c := cells[i]
-		return fmt.Sprintf("figure4 %s/%s %s seed=%d", c.gen.sc.Name, c.content, c.kind, c.seed)
+		return fmt.Sprintf("figure4 %s/%s %s seed=%d", gens[c.gen].sc.Name, c.content, c.kind, seeds[c.seed])
 	}, func(w *worker, i int) sample {
 		c := cells[i]
-		path := mustCompile(c.gen.sc, scenario.CompileConfig{Seed: c.seed + c.gen.seedOffset, Duration: 60 * time.Second})
-		res := w.run(buildConfig(path, c.content, c.kind, c.seed, 60*time.Second, core.AdaptiveConfig{}))
+		path := paths[c.gen][c.seed]
+		res := w.run(buildConfig(path, c.content, c.kind, seeds[c.seed], 60*time.Second, core.AdaptiveConfig{}))
 		return sample{
 			p95:    res.Report.P95NetDelay.Seconds(),
 			ssim:   res.Report.MeanSSIM,

@@ -175,6 +175,11 @@ func (e *GroupEncoder) newRepair() *Repair {
 // and the 4096 most recent distinct media sequence numbers it has seen or
 // recovered in a bitset with an arrival-order ring. A repair is never
 // referenced after OnRepair returns.
+//
+// A group is done once it has nothing left to recover, which on a
+// typical path is as soon as its repair arrives. Media packets and
+// recoveries look only at the groups still open, so their cost does not
+// grow with MaxGroups.
 type Decoder struct {
 	// MaxGroups bounds memory; oldest groups are evicted. Default 64.
 	MaxGroups int
@@ -182,6 +187,11 @@ type Decoder struct {
 	groups    []group // ring of the live groups, oldest at head
 	head, n   int
 	recovered int
+
+	// open holds the ring slots of the live groups not yet done, in
+	// arrival order. A group done during a call stays listed until the
+	// call returns (see pruneOpen), so every scan skips done groups.
+	open []int
 
 	received [1 << 16 / 64]uint64 // bitset of the seqs in seqRing
 	seqRing  [maxSeqs]uint16      // recently received seqs, oldest at seqHead
@@ -226,7 +236,7 @@ func NewDecoder() *Decoder {
 // Reset empties the decoder as NewDecoder would build it, keeping its
 // group storage.
 func (d *Decoder) Reset() {
-	*d = Decoder{MaxGroups: 64, groups: d.groups}
+	*d = Decoder{MaxGroups: 64, groups: d.groups, open: d.open[:0]}
 }
 
 // Recovered returns the number of packets reconstructed so far.
@@ -239,11 +249,12 @@ func (d *Decoder) Recovered() int { return d.recovered }
 // valid until its next OnRepair or Reset.
 func (d *Decoder) OnMedia(dst []*rtp.Packet, seq uint16) []*rtp.Packet {
 	d.markReceived(seq)
-	for i := 0; i < d.n; i++ {
-		if g := d.at(i); g.has(seq) {
+	for _, slot := range d.open {
+		if g := &d.groups[slot]; !g.done && g.has(seq) {
 			dst = d.tryRecover(dst, g)
 		}
 	}
+	d.pruneOpen()
 	return dst
 }
 
@@ -251,13 +262,17 @@ func (d *Decoder) OnMedia(dst []*rtp.Packet, seq uint16) []*rtp.Packet {
 // and appends to dst any packets it recovers immediately, returning the
 // extended slice. Recovered packets are valid as OnMedia's are.
 func (d *Decoder) OnRepair(dst []*rtp.Packet, rep *Repair) []*rtp.Packet {
-	for i := 0; i < d.n; i++ {
-		if d.at(i).id == rep.RepairID {
-			return dst // duplicate
+	older, newer := d.live()
+	for _, run := range [2][]group{older, newer} {
+		for i := range run {
+			if run[i].id == rep.RepairID {
+				return dst // duplicate
+			}
 		}
 	}
 	d.reserve()
-	g := &d.groups[(d.head+d.n)%len(d.groups)]
+	slot := (d.head + d.n) % len(d.groups)
+	g := &d.groups[slot]
 	g.id, g.done = rep.RepairID, false
 	g.protected = append(g.protected[:0], rep.Protected...)
 	g.contiguous = true
@@ -271,15 +286,43 @@ func (d *Decoder) OnRepair(dst []*rtp.Packet, rep *Repair) []*rtp.Packet {
 		}
 	}
 	d.n++
+	d.open = append(d.open, slot)
 	for d.n > d.MaxGroups && d.n > 0 {
+		// The oldest live group, if still open, heads the open list.
+		if !d.groups[d.head].done {
+			d.open = d.open[:copy(d.open, d.open[1:])]
+		}
 		d.head = (d.head + 1) % len(d.groups)
 		d.n--
 	}
-	return d.tryRecover(dst, g)
+	dst = d.tryRecover(dst, g)
+	d.pruneOpen()
+	return dst
 }
 
 // at returns the i-th live group in arrival order.
 func (d *Decoder) at(i int) *group { return &d.groups[(d.head+i)%len(d.groups)] }
+
+// live returns the live groups in arrival order, as the run from head to
+// the end of the ring and the run that wrapped around to its start.
+func (d *Decoder) live() (older, newer []group) {
+	if end := d.head + d.n; end <= len(d.groups) {
+		return d.groups[d.head:end], nil
+	}
+	return d.groups[d.head:], d.groups[:d.head+d.n-len(d.groups)]
+}
+
+// pruneOpen drops the groups that were done during the call from the
+// open list.
+func (d *Decoder) pruneOpen() {
+	open := d.open[:0]
+	for _, slot := range d.open {
+		if !d.groups[slot].done {
+			open = append(open, slot)
+		}
+	}
+	d.open = open
+}
 
 // reserve makes room in the ring for one group beyond MaxGroups, keeping
 // the live groups in order.
@@ -291,6 +334,9 @@ func (d *Decoder) reserve() {
 	grown := make([]group, need)
 	for i := range d.groups {
 		grown[i] = *d.at(i)
+	}
+	for k, slot := range d.open {
+		d.open[k] = (slot - d.head + len(d.groups)) % len(d.groups)
 	}
 	d.groups, d.head = grown, 0
 }
@@ -319,9 +365,10 @@ func (d *Decoder) tryRecover(dst []*rtp.Packet, g *group) []*rtp.Packet {
 	d.markReceived(pkt.SequenceNumber)
 	d.recovered++
 	dst = append(dst, pkt)
-	// Recovering this packet may unblock sibling groups.
-	for i := 0; i < d.n; i++ {
-		if sib := d.at(i); sib != g && sib.has(pkt.SequenceNumber) {
+	// Recovering this packet may unblock sibling groups; g itself is
+	// done now.
+	for _, slot := range d.open {
+		if sib := &d.groups[slot]; !sib.done && sib.has(pkt.SequenceNumber) {
 			dst = d.tryRecover(dst, sib)
 		}
 	}

@@ -214,3 +214,35 @@ func TestFECSingleLossRecoveryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDecoderCopiesRepair overwrites a repair's Protected packets after
+// OnRepair has returned, as a sender recycling the repair would, and then
+// recovers from its group: the recovered packet must be the original,
+// because the decoder keeps a copy of what a repair protects rather than
+// the repair's own buffer.
+func TestDecoderCopiesRepair(t *testing.T) {
+	e := NewGroupEncoder(1, 4)
+	d := NewDecoder()
+	var repair *Repair
+	var sent []rtp.Packet
+	for seq := uint16(0); seq < 4; seq++ {
+		p := mkPkt(seq, 300+int(seq))
+		sent = append(sent, *p)
+		if r := e.Add(p); r != nil {
+			repair = r
+		}
+	}
+	d.OnMedia(nil, 0)
+	d.OnMedia(nil, 1)
+	// 2 and 3 are missing: the group stays open after its repair.
+	if rec := d.OnRepair(nil, repair); len(rec) != 0 {
+		t.Fatalf("recovered %d packets from a double loss", len(rec))
+	}
+	for i := range repair.Protected {
+		repair.Protected[i] = rtp.Packet{Header: rtp.Header{SequenceNumber: 0xdead}, PayloadLen: -1}
+	}
+	rec := d.OnMedia(nil, 3)
+	if len(rec) != 1 || *rec[0] != sent[2] {
+		t.Fatalf("recovered %v after the repair was overwritten, want packet 2 as sent: %+v", rec, sent[2])
+	}
+}

@@ -1,7 +1,7 @@
 package rtp
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"rtcadapt/internal/codec"
@@ -268,15 +268,15 @@ func NewReassembler() *Reassembler {
 }
 
 // Reset empties the reassembler back to NewReassembler's state (Horizon
-// included), keeping its map, pool and scratch storage. Frames still
-// pending are dropped without being reported lost.
+// included), keeping its map, pool, lost list and scratch storage.
+// Frames still pending are dropped without being reported lost.
 func (r *Reassembler) Reset() {
 	pending := r.pending
 	if pending == nil {
 		pending = make(map[uint32]*pendingFrame)
 	}
 	clear(pending)
-	*r = Reassembler{pending: pending, Horizon: 64, free: r.free, expireScratch: r.expireScratch[:0]}
+	*r = Reassembler{pending: pending, Horizon: 64, lost: r.lost[:0], free: r.free, expireScratch: r.expireScratch[:0]}
 }
 
 // Push adds a received packet. If the packet completes its frame, the
@@ -337,11 +337,7 @@ func (r *Reassembler) expire() {
 			expired = append(expired, id)
 		}
 	}
-	if len(expired) > 1 {
-		// Guarded so the common no-expiry path skips the closure that
-		// sort.Slice materializes.
-		sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
-	}
+	slices.Sort(expired)
 	for _, id := range expired {
 		pf := r.pending[id]
 		delete(r.pending, id)
@@ -351,10 +347,15 @@ func (r *Reassembler) expire() {
 	r.expireScratch = expired[:0]
 }
 
-// Lost drains the list of frame IDs abandoned since the last call.
+// Lost drains the list of frame IDs abandoned since the last call, or
+// returns nil if there are none. The list is lent: it stays valid until
+// the next Push or Reset, which reuse its storage.
 func (r *Reassembler) Lost() []uint32 {
+	if len(r.lost) == 0 {
+		return nil
+	}
 	out := r.lost
-	r.lost = nil
+	r.lost = r.lost[:0]
 	return out
 }
 

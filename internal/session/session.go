@@ -252,6 +252,10 @@ type Session struct {
 	// summ selects the Report's percentiles in buffers a recycled session
 	// keeps; Result builds it on first use.
 	summ *metrics.Summarizer
+
+	// recycleTo, when set, takes the arrival buffers of consumed reports
+	// in place of recorder (see RecycleFeedbackTo).
+	recycleTo *fb.Recorder
 }
 
 // spareParts are the optional components with storage worth keeping: the
@@ -600,12 +604,25 @@ func (s *Session) SSRC() uint32 { return s.cfg.SSRC }
 // their reports through it; the session's own receiver sends its reports
 // the same way from feedbackTick. The report travels as a *fb.Report from
 // the session's free list, which onFeedback refills once the report is
-// consumed; reports lost on the reverse link are garbage collected.
+// consumed; reports lost on the reverse link are garbage collected. The
+// report's arrival buffer is the session's from here on: once consumed it
+// goes to the recorder RecycleFeedbackTo named, or else to the session's
+// own.
 func (s *Session) SendFeedback(rep fb.Report) {
 	p := s.acquireReport()
 	*p = rep
 	s.sendReport(p)
 }
+
+// RecycleFeedbackTo names the recorder that consumed reports hand their
+// arrival buffers back to, in place of the session's own receiver-side
+// recorder. A middlebox that terminates the session's media and reports
+// on it through SendFeedback (the SFU) names the recorder it flushes, so
+// the buffers its reports carry come back to it instead of piling up at
+// a recorder that, in that topology, records nothing. Buffers are
+// fungible, so the session's own consumed reports go there too. New and
+// every run in a Shell start from the session's own recorder.
+func (s *Session) RecycleFeedbackTo(rec *fb.Recorder) { s.recycleTo = rec }
 
 // acquireReport pops a consumed report off the free list (zeroed except
 // for its NACK buffer, which it keeps for reuse) or mints one.
@@ -789,11 +806,16 @@ func (s *Session) onFeedback(np netem.Packet, at time.Duration) {
 		}
 	}
 	// The report is fully consumed; hand its arrival buffer back to the
-	// receiver-side recorder and the report itself, NACK buffer included,
-	// to the free list. In the loopback topology that is the same recorder
-	// that produced it; on an SFU reverse path the buffers are fungible.
-	// Reports lost on the reverse link are simply collected.
-	s.recorder.Recycle(*rep)
+	// recorder that produces the session's feedback and the report itself,
+	// NACK buffer included, to the free list. In the loopback topology
+	// that is the recorder that produced it; behind a middlebox it is the
+	// middlebox's (RecycleFeedbackTo). Reports lost on the reverse link
+	// are simply collected.
+	rec := s.recorder
+	if s.recycleTo != nil {
+		rec = s.recycleTo
+	}
+	rec.Recycle(*rep)
 	*rep = fb.Report{Nacks: rep.Nacks[:0]}
 	s.reports = append(s.reports, rep)
 }
@@ -935,13 +957,11 @@ func (s *Session) sampleTimeline() {
 // encoder outputs (bytes, QP, keyframe, temporal layer, encoded SSIM)
 // with Outcome set only for sender-side skips — without receiver
 // resolution or freeze chaining. Topologies that terminate the media
-// elsewhere (e.g. the SFU) build receiver ledgers from this. Call before
-// Result, which mutates the ledger.
-func (s *Session) CaptureLedger() []metrics.FrameRecord {
-	out := make([]metrics.FrameRecord, len(s.records))
-	copy(out, s.records)
-	return out
-}
+// elsewhere (e.g. the SFU) build receiver ledgers from this. The ledger
+// is lent, not copied: it is the session's own, which Result resolves in
+// place and a recycled session overwrites, so read it before either and
+// do not modify it.
+func (s *Session) CaptureLedger() []metrics.FrameRecord { return s.records }
 
 // Result resolves the ledger in place after the scheduler has run and
 // returns it as Records, without a copy. Call once.
@@ -1037,11 +1057,20 @@ type SSRCDemux struct {
 // NewSSRCDemux builds a demux over the given sessions and returns it; use
 // it as the shared link's receiver.
 func NewSSRCDemux(sessions ...*Session) *SSRCDemux {
-	d := &SSRCDemux{sessions: make(map[uint32]*Session)}
+	d := new(SSRCDemux)
+	d.route(sessions)
+	return d
+}
+
+// route points the demux at sessions alone, keeping its map's storage.
+func (d *SSRCDemux) route(sessions []*Session) {
+	if d.sessions == nil {
+		d.sessions = make(map[uint32]*Session)
+	}
+	clear(d.sessions)
 	for _, s := range sessions {
 		d.sessions[s.SSRC()] = s
 	}
-	return d
 }
 
 // Deliver implements netem.Receiver.

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -263,4 +264,64 @@ func FuzzShellReuse(f *testing.F) {
 		sched.Reset()
 		sameResult(t, "second", sh.s.run(sched, second()), Run(second()))
 	})
+}
+
+// sharedSequence is a run of differently shaped shared-bottleneck runs —
+// two flows, three staggered flows with FEC, NACK and shared-link loss,
+// one short flow, two flows again with their SSRCs set — so that every
+// run of a SharedShell inherits a link, sessions and a demux sized and
+// filled by a different one. Each call builds fresh controllers.
+func sharedSequence() []func() (SharedConfig, []Config) {
+	adaptive := func() core.Controller { return core.NewAdaptive(core.AdaptiveConfig{}) }
+	return []func() (SharedConfig, []Config){
+		func() (SharedConfig, []Config) {
+			a, b := dropConfig(adaptive(), 1), dropConfig(core.NewNativeRC(), 2)
+			a.Duration, b.Duration = 8*time.Second, 6*time.Second
+			return SharedConfig{Trace: trace.Constant(3e6), Seed: 9}, []Config{a, b}
+		},
+		func() (SharedConfig, []Config) {
+			a, b, c := dropConfig(adaptive(), 3), dropConfig(adaptive(), 4), steadyConfig(core.NewNativeRC())
+			a.Duration, a.FECGroupSize = 7*time.Second, 4
+			b.Duration, b.StartAt, b.NACK = 5*time.Second, 2*time.Second, true
+			c.Duration, c.StartAt = 4*time.Second, 3*time.Second
+			return SharedConfig{Trace: trace.Constant(4e6), LossProb: 0.01, PropDelay: 40 * time.Millisecond, Seed: 5},
+				[]Config{a, b, c}
+		},
+		func() (SharedConfig, []Config) {
+			a := steadyConfig(adaptive())
+			a.Duration = 3 * time.Second
+			return SharedConfig{Trace: trace.Constant(2e6), QueueLimitBytes: 40_000, Seed: 6}, []Config{a}
+		},
+		func() (SharedConfig, []Config) {
+			a, b := dropConfig(core.NewNativeRC(), 7), dropConfig(adaptive(), 8)
+			a.Duration, a.SSRC = 6*time.Second, 77
+			b.Duration, b.StartAt, b.SSRC = 4*time.Second, time.Second, 88
+			return SharedConfig{Trace: trace.Constant(3e6), Seed: 10}, []Config{a, b}
+		},
+	}
+}
+
+// TestSharedShellMatchesFresh runs sharedSequence through one
+// SharedShell, poisoning every buffer its sessions keep between runs, and
+// requires each flow's full Result — ledger, timeline and every counter —
+// to deep-equal that of a fresh RunShared.
+func TestSharedShellMatchesFresh(t *testing.T) {
+	var sh SharedShell
+	sched := simtime.NewScheduler()
+	for i, mk := range sharedSequence() {
+		sched.Reset()
+		shared, flows := mk()
+		got := sh.RunBorrowed(sched, shared, flows)
+		shared, flows = mk()
+		want := RunShared(shared, flows)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d results, fresh run %d", i, len(got), len(want))
+		}
+		for f := range want {
+			sameResult(t, fmt.Sprintf("run %d flow %d", i, f), got[f], want[f])
+		}
+		for _, s := range sh.sessions {
+			poisonShell(s)
+		}
+	}
 }

@@ -90,9 +90,24 @@ func (u Unit) RunOn(sched *simtime.Scheduler) Summary {
 // RunBorrowed's Records and Timeline alias the shell's memory until its
 // next run, and a caller that keeps either past that copies what it
 // keeps. Run, RunOn and the package-level Run are RunBorrowed on some
-// shell; RunShared and New build fresh sessions. Not safe for concurrent
-// use; a fleet shard or an experiment worker owns one.
+// shell; New builds a fresh session, and Shell.New rebuilds the shell's
+// own for a topology its caller drives (the SFU). A SharedShell does the
+// same for RunShared's flows. Not safe for concurrent use; a fleet shard
+// or an experiment worker owns one.
 type Shell struct{ s Session }
+
+// New is New(sched, cfg) in the shell's memory: it re-initialises the
+// shell's session for cfg on sched, which must be freshly constructed or
+// freshly Reset, and returns it for the caller to wire up, run and read.
+// The session, and everything it lends (CaptureLedger, Result), stay
+// valid only until the shell's next run. Unlike RunBorrowed, it recycles
+// a config that sends into an external Config.ForwardLink: the caller
+// must have re-initialised that link (or built it) on sched, so that it
+// holds no packet of the shell's previous run.
+func (sh *Shell) New(sched *simtime.Scheduler, cfg Config) *Session {
+	sh.s.init(sched, cfg)
+	return &sh.s
+}
 
 // RunBorrowed executes cfg on sched, which must be freshly constructed or
 // freshly Reset, reusing the shell's memory, and returns the full Result.

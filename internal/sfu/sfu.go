@@ -5,9 +5,20 @@
 // enhancement layer (halving frame rate) for receivers whose downlink
 // cannot carry the full stream — the standard architecture of
 // production conferencing backends.
+//
+// A Node and its Receivers keep their storage across calls: Init rebuilds
+// each in place, as NewNode and NewReceiver build them, so a harness that
+// runs call after call (an experiment worker) reuses their rings, pools
+// and ledgers. Packets are owned as follows. The sender's packets belong
+// to the sender's session; the node reads each one as it arrives and
+// keeps no pointer to it. Each receiver forwards a clone from a pool it
+// owns, which the downlink holds in flight and the receiver takes back
+// when the downlink delivers it or refuses it. A clone the downlink loses
+// stays with the pool's slabs until the receiver's next Init.
 package sfu
 
 import (
+	"slices"
 	"time"
 
 	"rtcadapt/internal/cc"
@@ -22,14 +33,20 @@ import (
 	"rtcadapt/internal/units"
 )
 
-// Node is the forwarding unit. Construct with NewNode, attach as the
-// uplink's receiver, and add receivers.
+// Node is the forwarding unit. Construct with NewNode (or Init a kept
+// one), attach as the uplink's receiver, and add receivers. A Node must
+// not be copied after first use.
 type Node struct {
 	sched  *simtime.Scheduler
 	sender *session.Session
 
-	recorder *fb.Recorder // uplink arrivals -> sender feedback
-	arrival  *stats.RateMeter
+	// recorder accumulates uplink arrivals into sender feedback. Each
+	// report's arrival buffer passes to the sender with SendFeedback and
+	// comes back to recorder once the sender has consumed it (see
+	// session.RecycleFeedbackTo), so the node reuses a few buffers for
+	// the whole call.
+	recorder fb.Recorder
+	arrival  stats.RateMeter
 
 	receivers []*Receiver
 
@@ -43,17 +60,31 @@ type Node struct {
 // NewNode creates an SFU on sched that feeds congestion feedback back to
 // sender every interval (zero: 50 ms).
 func NewNode(sched *simtime.Scheduler, sender *session.Session, interval time.Duration) *Node {
+	n := new(Node)
+	n.Init(sched, sender, interval)
+	return n
+}
+
+// Init restarts the node as NewNode(sched, sender, interval) would build
+// it, with no receivers and LayerSelection off, keeping the storage of its
+// recorder, rate window and receiver list. The previous call's scheduler
+// events must be gone (a Reset or a new scheduler).
+func (n *Node) Init(sched *simtime.Scheduler, sender *session.Session, interval time.Duration) {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
-	n := &Node{
-		sched:    sched,
-		sender:   sender,
-		recorder: fb.NewRecorder(),
-		arrival:  stats.NewRateMeter(0.5),
+	n.recorder.Reset()
+	n.arrival.Init(0.5)
+	clear(n.receivers)
+	*n = Node{
+		sched:     sched,
+		sender:    sender,
+		recorder:  n.recorder,
+		arrival:   n.arrival,
+		receivers: n.receivers[:0],
 	}
+	sender.RecycleFeedbackTo(&n.recorder)
 	sched.Tick(interval, n.feedbackTick)
-	return n
 }
 
 // AddReceiver attaches a downstream participant.
@@ -114,33 +145,54 @@ type ReceiverConfig struct {
 }
 
 // Receiver is one downstream participant: a downlink, a receive pipeline,
-// and a per-receiver bandwidth estimator at the SFU.
+// and a per-receiver bandwidth estimator at the SFU. A Receiver must not
+// be copied after first use.
 type Receiver struct {
 	cfg   ReceiverConfig
 	sched *simtime.Scheduler
 	node  *Node
 
-	reasm    *rtp.Reassembler
+	reasm    rtp.Reassembler
 	jbuf     *rtp.JitterBuffer
-	recorder *fb.Recorder
-	history  *fb.History
-	est      cc.Estimator
+	recorder fb.Recorder
+	history  fb.History
+	est      cc.GCC
 
-	nextTransport uint32
-	ledger        map[int]*receiverFrame
-	sentFrames    map[uint32]bool // frame ids the SFU forwarded here
-	layer         int             // current allowed temporal layer
-	pliArmed      bool
-	lastPLI       time.Duration
+	// clones is the pool forwarded packets come from. Forwarding re-sends
+	// the sender's packet on the downlink the way a packetizer re-sends a
+	// retransmission: same RTP identity, the downlink's next transport
+	// sequence number. A clone goes back with Release once delivered or
+	// refused; Init rewinds the pool's slabs.
+	clones rtp.Packetizer
+	// frames has an entry for every frame the SFU forwarded here, holding
+	// when it completed at the receiver (zero if it never did). Init
+	// clears it, keeping its storage.
+	frames   map[uint32]frameArrival
+	layer    int // current allowed temporal layer
+	pliArmed bool
+	lastPLI  time.Duration
 }
 
-type receiverFrame struct {
-	rec metrics.FrameRecord
+// frameArrival is the receiver-side fate of one forwarded frame.
+type frameArrival struct {
+	arrival, displayAt time.Duration
 }
 
 // NewReceiver attaches a receiver to the node, wiring the downlink's
 // delivery and the receiver's feedback loop.
 func NewReceiver(sched *simtime.Scheduler, node *Node, cfg ReceiverConfig) *Receiver {
+	r := new(Receiver)
+	r.Init(sched, node, cfg)
+	return r
+}
+
+// Init restarts the receiver as NewReceiver(sched, node, cfg) would build
+// it, keeping the storage of its reassembler, recorder, history,
+// estimator windows, clone pool and frame ledger. Every clone it handed
+// out before is reused, so the previous call's downlink must hold none:
+// re-initialise it (or build a new one) first. The previous call's
+// scheduler events must be gone (a Reset or a new scheduler).
+func (r *Receiver) Init(sched *simtime.Scheduler, node *Node, cfg ReceiverConfig) {
 	if cfg.Downlink == nil {
 		panic("sfu: ReceiverConfig.Downlink is required")
 	}
@@ -150,25 +202,33 @@ func NewReceiver(sched *simtime.Scheduler, node *Node, cfg ReceiverConfig) *Rece
 	if cfg.InitialRate <= 0 {
 		cfg.InitialRate = 1e6
 	}
-	r := &Receiver{
-		cfg:        cfg,
-		sched:      sched,
-		node:       node,
-		reasm:      rtp.NewReassembler(),
-		jbuf:       rtp.NewJitterBuffer(0, 0),
-		recorder:   fb.NewRecorder(),
-		history:    fb.NewHistory(),
-		est:        cc.NewGCC(cc.GCCConfig{InitialRate: cfg.InitialRate}),
-		ledger:     make(map[int]*receiverFrame),
-		sentFrames: make(map[uint32]bool),
-		layer:      1,
-		lastPLI:    -time.Hour,
+	r.reasm.Reset()
+	r.recorder.Reset()
+	r.history.Reset()
+	r.est.Init(cc.GCCConfig{InitialRate: cfg.InitialRate})
+	r.clones.Init(0, 0, 0)
+	if r.frames == nil {
+		r.frames = make(map[uint32]frameArrival)
+	}
+	clear(r.frames)
+	*r = Receiver{
+		cfg:      cfg,
+		sched:    sched,
+		node:     node,
+		reasm:    r.reasm,
+		jbuf:     rtp.NewJitterBuffer(0, 0),
+		recorder: r.recorder,
+		history:  r.history,
+		est:      r.est,
+		clones:   r.clones,
+		frames:   r.frames,
+		layer:    1,
+		lastPLI:  -time.Hour,
 	}
 	r.reasm.Horizon = 15
 	cfg.Downlink.SetReceiver(netem.ReceiverFunc(r.deliver))
 	sched.Tick(cfg.FeedbackInterval, r.feedbackTick)
 	node.AddReceiver(r)
-	return r
 }
 
 // allowedLayer returns the highest temporal layer this receiver's
@@ -190,22 +250,28 @@ func (r *Receiver) allowedLayer() int {
 	return r.layer
 }
 
-// forward sends one packet down this receiver's link, recording it in the
-// SFU-side history so downlink feedback drives the estimator.
+// forward sends a clone of one packet down this receiver's link,
+// recording it in the SFU-side history so downlink feedback drives the
+// estimator.
 func (r *Receiver) forward(pkt *rtp.Packet, wireSize int) {
-	r.sentFrames[pkt.Ext.FrameID] = true
-	clone := *pkt
-	clone.Ext.TransportSeq = r.nextTransport
-	r.nextTransport++
+	if _, ok := r.frames[pkt.Ext.FrameID]; !ok {
+		r.frames[pkt.Ext.FrameID] = frameArrival{}
+	}
+	clone := r.clones.Retransmit(pkt)
 	r.history.Add(clone.Ext.TransportSeq, r.sched.Now(), wireSize)
-	r.cfg.Downlink.Send(netem.Packet{Size: wireSize, Payload: &clone})
+	if !r.cfg.Downlink.Send(netem.Packet{Size: wireSize, Payload: clone}) {
+		r.clones.Release(clone)
+	}
 }
 
-// deliver consumes one packet at the participant.
+// deliver consumes one packet at the participant. The receive path copies
+// what it needs (the reassembler keeps no packet), so the clone goes back
+// to the pool.
 func (r *Receiver) deliver(np netem.Packet, at time.Duration) {
 	pkt := np.Payload.(*rtp.Packet)
 	r.recorder.OnPacket(pkt.Ext.TransportSeq, at, np.Size)
 	complete, ok := r.reasm.Push(pkt, at)
+	r.clones.Release(pkt)
 	for range r.reasm.Lost() {
 		r.requestPLI()
 	}
@@ -213,30 +279,21 @@ func (r *Receiver) deliver(np netem.Packet, at time.Duration) {
 		return
 	}
 	displayAt := r.jbuf.PushUnordered(complete)
-	fi, have := r.ledger[int(complete.FrameID)]
-	if !have {
-		fi = &receiverFrame{}
-		fi.rec.Index = int(complete.FrameID)
-		fi.rec.CaptureTS = complete.CaptureTS
-		fi.rec.Keyframe = complete.FrameType == 0
-		fi.rec.TemporalLayer = int(complete.TemporalLayer)
-		r.ledger[int(complete.FrameID)] = fi
-	}
-	fi.rec.Outcome = metrics.Delivered
-	fi.rec.Arrival = complete.Arrival
-	fi.rec.DisplayAt = displayAt
-	fi.rec.Bytes = complete.Bytes
+	r.frames[complete.FrameID] = frameArrival{arrival: complete.Arrival, displayAt: displayAt}
 }
 
 // Records assembles this receiver's per-frame ledger against the sender's
-// capture ledger: a slot the SFU filtered (layer selection) counts as
-// Skipped (an intentional frame-rate reduction, the viewer sees a clean
-// repeat), a forwarded-but-missing slot as Dropped, and decode-order
-// dependencies are enforced as in the point-to-point session. SSIM is the
-// sender's encoded quality for displayed frames and the chained repeat
-// penalty for gaps.
-func (r *Receiver) Records(sender []metrics.FrameRecord) []metrics.FrameRecord {
-	recs := make([]metrics.FrameRecord, 0, len(sender))
+// capture ledger and appends it to dst, returning the extended slice: a
+// slot the SFU filtered (layer selection) counts as Skipped (an
+// intentional frame-rate reduction, the viewer sees a clean repeat), a
+// forwarded-but-missing slot as Dropped, and decode-order dependencies
+// are enforced as in the point-to-point session. SSIM is the sender's
+// encoded quality for displayed frames and the chained repeat penalty for
+// gaps. A caller that reuses dst across calls assembles without
+// allocating once it has grown.
+func (r *Receiver) Records(dst, sender []metrics.FrameRecord) []metrics.FrameRecord {
+	start := len(dst)
+	dst = slices.Grow(dst, len(sender))
 	for _, srec := range sender {
 		out := metrics.FrameRecord{
 			Index:         srec.Index,
@@ -247,26 +304,26 @@ func (r *Receiver) Records(sender []metrics.FrameRecord) []metrics.FrameRecord {
 			QP:            srec.QP,
 			SSIM:          srec.SSIM,
 		}
+		fa, sent := r.frames[uint32(srec.Index)]
 		switch {
 		case srec.Outcome == metrics.Skipped:
 			out.Outcome = metrics.Skipped
 			out.Bytes = 0
-		case !r.sentFrames[uint32(srec.Index)]:
+		case !sent:
 			// Filtered by layer selection (or the sender's own packets
 			// never reached the SFU): no bytes spent on this receiver.
 			out.Outcome = metrics.Skipped
 			out.Bytes = 0
+		case fa.arrival > 0:
+			out.Outcome = metrics.Delivered
+			out.Arrival = fa.arrival
+			out.DisplayAt = fa.displayAt
 		default:
-			if fi, ok := r.ledger[srec.Index]; ok && fi.rec.Arrival > 0 {
-				out.Outcome = metrics.Delivered
-				out.Arrival = fi.rec.Arrival
-				out.DisplayAt = fi.rec.DisplayAt
-			} else {
-				out.Outcome = metrics.Dropped
-			}
+			out.Outcome = metrics.Dropped
 		}
-		recs = append(recs, out)
+		dst = append(dst, out)
 	}
+	recs := dst[start:]
 	metrics.EnforceDecodeOrder(recs, r.jbuf.LatenessBudget)
 	// Chain display quality through gaps, as the session does.
 	last := 1.0
@@ -280,7 +337,7 @@ func (r *Receiver) Records(sender []metrics.FrameRecord) []metrics.FrameRecord {
 			last = rec.SSIM
 		}
 	}
-	return recs
+	return dst
 }
 
 // Name returns the receiver's label.

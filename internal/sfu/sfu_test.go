@@ -1,6 +1,7 @@
 package sfu
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/netem"
+	"rtcadapt/internal/rtp"
 	"rtcadapt/internal/session"
 	"rtcadapt/internal/simtime"
 	"rtcadapt/internal/trace"
@@ -58,7 +60,7 @@ func TestSFUForwardsToAllReceivers(t *testing.T) {
 		t.Fatal("SFU forwarded nothing")
 	}
 	for _, r := range []*Receiver{strong, weak} {
-		recs := r.Records(ledger)
+		recs := r.Records(nil, ledger)
 		rep := metrics.SummarizeAll(recs, 33*time.Millisecond)
 		frac := float64(rep.DeliveredFrames) / float64(rep.Frames)
 		if frac < 0.95 {
@@ -72,7 +74,7 @@ func TestSFULayerSelectionProtectsWeakReceiver(t *testing.T) {
 	analyze := func(layerSel bool) (weakP95 time.Duration, weakDelivered, filtered int, frames int) {
 		sender, node, _, weak, run := buildCall(t, layerSel, weakRate, 20*time.Second)
 		run()
-		recs := weak.Records(sender.CaptureLedger())
+		recs := weak.Records(nil, sender.CaptureLedger())
 		rep := metrics.SummarizeAll(recs, 33*time.Millisecond)
 		return rep.P95NetDelay, rep.DeliveredFrames, node.Filtered(), rep.Frames
 	}
@@ -147,9 +149,53 @@ func TestSFUPLIPropagation(t *testing.T) {
 	if keyframes < 2 {
 		t.Errorf("keyframes = %d; PLI did not propagate through the SFU", keyframes)
 	}
-	recs := rcv.Records(ledger)
+	recs := rcv.Records(nil, ledger)
 	rep := metrics.SummarizeAll(recs, 33*time.Millisecond)
 	if rep.DeliveredFrames == 0 {
 		t.Error("lossy receiver delivered nothing")
+	}
+}
+
+// poison overwrites a packet with sentinel values no live packet carries.
+func poison(p *rtp.Packet) {
+	*p = rtp.Packet{
+		Header: rtp.Header{Version: 3, PayloadType: 0x7f, SequenceNumber: 0xdead, Timestamp: 0xdeadbeef, SSRC: 0xdeadbeef},
+		Ext: rtp.Extension{
+			TransportSeq: 0xdeadbeef, FrameID: 0xdeadbeef, FragIndex: 0xdead, FragCount: 0xdead,
+			FrameType: 0xee, TemporalLayer: 0xee, CaptureTS: -time.Hour,
+		},
+		PayloadLen: -1,
+	}
+}
+
+// TestDeliveredClonesPoisoned is the clone pool's ownership proof: once a
+// receiver has consumed a forwarded clone, it has handed it back to its
+// pool, and nothing may read it again. Overwriting every delivered clone
+// with sentinel values the moment delivery returns must leave both
+// receivers' ledgers unchanged. The weak downlink cannot carry the full
+// stream, so its queue also refuses clones, which go straight back.
+func TestDeliveredClonesPoisoned(t *testing.T) {
+	records := func(poisoned bool) [2][]metrics.FrameRecord {
+		sender, _, strong, weak, run := buildCall(t, false, 1.5e6, 10*time.Second)
+		for _, r := range []*Receiver{strong, weak} {
+			r.cfg.Downlink.SetReceiver(netem.ReceiverFunc(func(np netem.Packet, at time.Duration) {
+				r.deliver(np, at)
+				if poisoned {
+					poison(np.Payload.(*rtp.Packet))
+				}
+			}))
+		}
+		run()
+		if weak.cfg.Downlink.Stats().DroppedQueue == 0 {
+			t.Fatal("the weak downlink refused nothing; the Send path was not exercised")
+		}
+		ledger := sender.CaptureLedger()
+		return [2][]metrics.FrameRecord{strong.Records(nil, ledger), weak.Records(nil, ledger)}
+	}
+	clean, dirty := records(false), records(true)
+	for ri := range clean {
+		if !slices.Equal(clean[ri], dirty[ri]) {
+			t.Errorf("receiver %d: poisoning delivered clones changed its ledger", ri)
+		}
 	}
 }

@@ -244,12 +244,17 @@ func (s *Summary) Mean() float64 {
 }
 
 // Stddev returns the population standard deviation, or zero if fewer than
-// two samples were recorded.
+// two samples were recorded. It sums the squared deviations in sorted
+// order, so the result does not depend on which quantiles were asked for
+// before (each selection reorders the samples). A sorted summary is
+// partitioned around every position, so later selections stay valid.
 func (s *Summary) Stddev() float64 {
 	n := len(s.samples)
 	if n < 2 {
 		return 0
 	}
+	slices.Sort(s.samples)
+	s.fixed = n
 	m := s.Mean()
 	var ss float64
 	for _, v := range s.samples {

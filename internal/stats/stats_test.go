@@ -424,3 +424,39 @@ func TestWindowedMaxProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSummaryStddevIndependentOfQuantileOrder asks two copies of each of
+// ten sample sets for quantiles in different orders, which leave their
+// buffers in different orders, and requires bit-identical deviations.
+// Summed in buffer order, most of these sets differ in the last bits.
+func TestSummaryStddevIndependentOfQuantileOrder(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		r := NewRand(seed)
+		var a, b Summary
+		for i := 0; i < 1000; i++ {
+			v := 100 + 3*r.NormFloat64()
+			a.Add(v)
+			b.Add(v)
+		}
+		for _, q := range []float64{0.05, 0.5, 0.95, 0.99} {
+			a.Quantile(q)
+		}
+		for _, q := range []float64{0.99, 0.25, 0.75, 0.01} {
+			b.Quantile(q)
+		}
+		if sa, sb := a.Stddev(), b.Stddev(); math.Float64bits(sa) != math.Float64bits(sb) {
+			t.Fatalf("seed %d: Stddev after different quantile orders: %v and %v", seed, sa, sb)
+		}
+		// The sort Stddev leaves behind must not disturb later
+		// selections.
+		var c Summary
+		for _, v := range a.Samples() {
+			c.Add(v)
+		}
+		for _, q := range []float64{0.9, 0.1, 0.5} {
+			if got, want := a.Quantile(q), c.Quantile(q); got != want {
+				t.Fatalf("seed %d: Quantile(%v) after Stddev = %v, want %v", seed, q, got, want)
+			}
+		}
+	}
+}

@@ -72,7 +72,7 @@ func LTE(seed int64, dur time.Duration, cfg LTEConfig) *Trace {
 		}
 		ps = append(ps, Point{At: at, Bps: units.BitsPerSec(bps)})
 	}
-	return MustNew("lte", ps...)
+	return mustOwn("lte", ps)
 }
 
 // The WiFi model's contention shape and short-timescale spread. No
@@ -120,7 +120,7 @@ func WiFi(seed int64, dur time.Duration, cfg WiFiConfig) *Trace {
 		bps = stats.Clamp(bps, 0.05*cfg.Mean, 2*cfg.Mean)
 		ps = append(ps, Point{At: at, Bps: units.BitsPerSec(bps)})
 	}
-	return MustNew("wifi", ps...)
+	return mustOwn("wifi", ps)
 }
 
 // RandomWalk generates a bounded multiplicative random walk, useful for
@@ -136,5 +136,5 @@ func RandomWalk(seed int64, dur, step time.Duration, start, lo, hi float64) *Tra
 		level = stats.Clamp(rng.Jitter(level, 0.1), lo, hi)
 		ps = append(ps, Point{At: at, Bps: units.BitsPerSec(level)})
 	}
-	return MustNew("randomwalk", ps...)
+	return mustOwn("randomwalk", ps)
 }

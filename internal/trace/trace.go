@@ -40,13 +40,28 @@ type Trace struct {
 
 // New builds a trace from breakpoints. Points are sorted by time; the first
 // breakpoint must be at time zero so the rate is defined everywhere, and all
-// rates must be positive.
+// rates must be positive. The trace keeps a copy of points.
 func New(name string, points ...Point) (*Trace, error) {
-	if len(points) == 0 {
+	return own(name, slices.Clone(points))
+}
+
+// MustNew is New but panics on error; for use with literal points.
+func MustNew(name string, points ...Point) *Trace {
+	tr, err := New(name, points...)
+	if err != nil {
+		panic(err)
+	}
+	return tr
+}
+
+// own is New without the copy: it validates ps, sorting it in place if
+// need be, and the trace takes ps itself. The generators build their
+// points for the trace alone, so they hand them over rather than pay for
+// a second array.
+func own(name string, ps []Point) (*Trace, error) {
+	if len(ps) == 0 {
 		return nil, errors.New("trace: no points")
 	}
-	ps := make([]Point, len(points))
-	copy(ps, points)
 	// Generators and files give their points in order; only others pay
 	// for the sort.
 	byAt := func(a, b Point) int { return cmp.Compare(a.At, b.At) }
@@ -70,9 +85,10 @@ func New(name string, points ...Point) (*Trace, error) {
 	return &Trace{name: name, points: ps}, nil
 }
 
-// MustNew is New but panics on error; for use with literal points.
-func MustNew(name string, points ...Point) *Trace {
-	tr, err := New(name, points...)
+// mustOwn is own but panics on error; the generators' points are valid by
+// construction.
+func mustOwn(name string, ps []Point) *Trace {
+	tr, err := own(name, ps)
 	if err != nil {
 		panic(err)
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"rtcadapt/internal/units"
 )
@@ -182,5 +184,36 @@ func TestRateSegmentConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGeneratorsAllocatePointsOnce checks that each generator builds its
+// breakpoints in one array the trace then keeps: a ten-minute trace
+// allocates its points, the trace and a PRNG source, and less than one
+// more copy of its points. Handing the points to MustNew, which copies
+// them, doubles the first term.
+func TestGeneratorsAllocatePointsOnce(t *testing.T) {
+	const dur = 10 * time.Minute
+	for _, g := range []struct {
+		name string
+		gen  func() *Trace
+	}{
+		{"lte", func() *Trace { return LTE(1, dur, LTEConfig{}) }},
+		{"wifi", func() *Trace { return WiFi(1, dur, WiFiConfig{}) }},
+		{"randomwalk", func() *Trace { return RandomWalk(1, dur, 100*time.Millisecond, 1e6, 0.5e6, 2e6) }},
+	} {
+		pointBytes := uint64(len(g.gen().points)) * uint64(unsafe.Sizeof(Point{}))
+		best := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			g.gen()
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: %d B of points, %d B allocated", g.name, pointBytes, best)
+		if best >= 2*pointBytes {
+			t.Errorf("%s allocates %d B for %d B of points: the points are allocated twice", g.name, best, pointBytes)
+		}
 	}
 }
