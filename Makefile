@@ -2,7 +2,7 @@ GO       ?= go
 PKGS     := ./...
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint lint-fix lint-purity lint-units lint-budget fuzz-smoke bench bench-parallel bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke results-smoke profile check
+.PHONY: build test race lint lint-fix lint-purity lint-units lint-budget fuzz-smoke bench bench-parallel bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke results-smoke frames-smoke profile check
 
 build:
 	$(GO) build $(PKGS)
@@ -99,6 +99,14 @@ scenario-smoke:
 results-smoke:
 	$(GO) run ./cmd/benchdrop -exp all -parallel 4 | diff - docs/results_snapshot.txt
 
+# Per-frame ledger gate. results-smoke compares only aggregates; this
+# prints one session's ledger frame by frame (temporal layers, FEC and
+# NACK on, so every record field is exercised) and diffs it against the
+# committed snapshot. An intended change regenerates it with:
+#   go run ./cmd/rtcsim -out frames -tl 2 -fec 4 -nack > docs/frames_snapshot.csv
+frames-smoke:
+	$(GO) run ./cmd/rtcsim -out frames -tl 2 -fec 4 -nack | diff - docs/frames_snapshot.csv
+
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(PKGS)
 
@@ -107,11 +115,12 @@ bench-parallel:
 	$(GO) test -run='^$$' -bench='BenchmarkRunner(Sequential|Parallel)' -benchtime=3x ./internal/experiments
 
 # Fast allocation- and complexity-regression gate for CI: run the
-# allocation budget tests (AllocsPerRun gates per layer and a warm
-# Summarizer, the whole-session marginal-bytes gates with and without
-# NACK, the Session's size class, the fleet's bytes per recycled session
+# allocation budget tests (AllocsPerRun gates per layer, a warm
+# Summarizer and a reassembler reset with frames pending, the whole-session marginal-bytes gates with and without
+# NACK, the Session's and the FrameRecord's size classes, the heap a kept
+# shared-link Result retains per flow, the fleet's bytes per recycled session
 # and the experiment runner's bytes per drop cell, per Figure 5 fec+nack
-# cell, per Figure 7 shared-link cell and per Figure 9 SFU cell on a warm
+# cell (whose warm session init must build no trace), per Figure 7 shared-link cell and per Figure 9 SFU cell on a warm
 # worker), the FEC encoder and decoder steady states, the complexity
 # tests (scheduler Step at 16k vs 1k standing timers, cancel-and-replace
 # at 4k vs 256 pending events, retransmission-buffer Store at 4096 vs 64
@@ -123,7 +132,7 @@ bench-parallel:
 # compile-and-run check. Nothing compares ns/op across hosts:
 # end-to-end speed is rtcbench's job (cmd/rtcbench/README.md).
 bench-smoke:
-	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|AllocPerCell|SizeClass|CostIndependentOfDepth|CostIndependentOfCapacity|CostScalesWithDraws' -v \
+	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|AllocPerCell|SizeClass|RetainedBudget|CostIndependentOfDepth|CostIndependentOfCapacity|CostScalesWithDraws' -v \
 		./internal/simtime ./internal/netem ./internal/rtp ./internal/fec \
 		./internal/session ./internal/stats ./internal/metrics ./internal/fleet ./internal/experiments
 	$(GO) test -run='^$$' -bench='BenchmarkScheduler|BenchmarkLinkSaturated|BenchmarkPacketizeReuse' \

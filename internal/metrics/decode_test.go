@@ -13,7 +13,7 @@ func mkRecords(spec string, lateBy time.Duration) []FrameRecord {
 	var recs []FrameRecord
 	for i, ch := range spec {
 		cap := time.Duration(i) * 33 * time.Millisecond
-		rec := FrameRecord{Index: i, CaptureTS: cap}
+		rec := FrameRecord{Index: int32(i), CaptureTS: cap}
 		switch ch {
 		case 'I', 'P', 'L', 'e':
 			rec.Arrival = cap + 50*time.Millisecond

@@ -12,7 +12,7 @@ func edgeRecords() []FrameRecord {
 	for i := 0; i < 6; i++ {
 		ts := time.Duration(i) * 33 * time.Millisecond
 		recs = append(recs, FrameRecord{
-			Index:     i,
+			Index:     int32(i),
 			CaptureTS: ts,
 			Arrival:   ts + 40*time.Millisecond,
 			DisplayAt: ts + 50*time.Millisecond,

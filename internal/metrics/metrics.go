@@ -16,8 +16,9 @@ import (
 	"rtcadapt/internal/stats"
 )
 
-// Outcome classifies what happened to a captured frame.
-type Outcome int
+// Outcome classifies what happened to a captured frame. It is a byte so
+// that it packs into the FrameRecord's tail with the other small fields.
+type Outcome uint8
 
 // Outcomes.
 const (
@@ -42,30 +43,39 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
-// FrameRecord is the ledger entry for one captured frame.
+// FrameRecord is the ledger entry for one captured frame. It is 48 bytes:
+// the four 8-byte fields first, then the two 4-byte ones, then the four
+// 1-byte ones, so no field is padded and only the last 4 bytes are spare.
+// Every session keeps one record per captured frame and every Result a
+// caller keeps holds that ledger, so each byte here is paid per frame.
+// The narrow fields hold the same values the wider types did: the session
+// checks Index and Bytes against int32 when it writes a record, and the
+// codec's configuration bounds QP and TemporalLayer (see
+// codec.Config.Validate).
 type FrameRecord struct {
-	// Index is the capture index.
-	Index int
 	// CaptureTS is the capture time.
 	CaptureTS time.Duration
-	// Outcome classifies delivery.
-	Outcome Outcome
 	// Arrival is when the frame completed at the receiver (Delivered
 	// and some Dropped-as-late frames only).
 	Arrival time.Duration
 	// DisplayAt is the jitter-buffer playout time (Delivered only).
 	DisplayAt time.Duration
-	// Bytes is the encoded size (zero for skips).
-	Bytes int
-	// QP is the encoder quantizer (zero for skips).
-	QP int
-	// Keyframe marks intra frames.
-	Keyframe bool
-	// TemporalLayer is the frame's SVC temporal layer (0 = base).
-	TemporalLayer int
 	// SSIM is the modeled quality of what the viewer saw in this
 	// frame's slot (penalized for skips and freezes).
 	SSIM float64
+	// Index is the capture index.
+	Index int32
+	// Bytes is the encoded size (zero for skips).
+	Bytes int32
+	// Outcome classifies delivery.
+	Outcome Outcome
+	// QP is the encoder quantizer, at most codec.MaxQP (zero for skips).
+	QP uint8
+	// Keyframe marks intra frames.
+	Keyframe bool
+	// TemporalLayer is the frame's SVC temporal layer (0 = base, at most
+	// 1).
+	TemporalLayer uint8
 }
 
 // NetworkDelay is capture-to-complete-arrival one-way latency.
@@ -193,7 +203,7 @@ func (z *Summarizer) Summarize(records []FrameRecord, from, to time.Duration, fr
 		}
 		rep.Frames++
 		ssimSum += r.SSIM
-		bits += float64(r.Bytes * 8)
+		bits += float64(r.Bytes) * 8
 		switch r.Outcome {
 		case Delivered:
 			rep.DeliveredFrames++

@@ -10,11 +10,11 @@ import (
 func rec(i int, outcome Outcome, delayMs int, ssim float64, bytes int) FrameRecord {
 	cap := time.Duration(i) * 33 * time.Millisecond
 	r := FrameRecord{
-		Index:     i,
+		Index:     int32(i),
 		CaptureTS: cap,
 		Outcome:   outcome,
 		SSIM:      ssim,
-		Bytes:     bytes,
+		Bytes:     int32(bytes),
 	}
 	if outcome == Delivered {
 		r.Arrival = cap + time.Duration(delayMs)*time.Millisecond
@@ -104,6 +104,22 @@ func TestSummarizeBitrate(t *testing.T) {
 	want := 30.0 * 4000 * 8
 	if math.Abs(rep.Bitrate-want) > 1 {
 		t.Errorf("Bitrate = %v, want %v", rep.Bitrate, want)
+	}
+}
+
+// TestSummarizeBitrateLargeFrames checks that a frame's size is widened
+// before it is scaled to bits: 2^29 B and the largest int32 size both
+// overflow int32 when multiplied by 8 in the record's own type.
+func TestSummarizeBitrateLargeFrames(t *testing.T) {
+	for _, bytes := range []int{1 << 29, math.MaxInt32} {
+		var records []FrameRecord
+		for i := 0; i < 30; i++ {
+			records = append(records, rec(i, Delivered, 40, 0.95, bytes))
+		}
+		rep := Summarize(records, 0, time.Second, 33*time.Millisecond)
+		if want := 30.0 * float64(bytes) * 8; rep.Bitrate != want {
+			t.Errorf("%d B frames: Bitrate = %v, want %v", bytes, rep.Bitrate, want)
+		}
 	}
 }
 

@@ -129,7 +129,7 @@ func refSummarize(records []FrameRecord, from, to time.Duration, frameInterval t
 		}
 		rep.Frames++
 		ssimSum += r.SSIM
-		bits += float64(r.Bytes * 8)
+		bits += float64(r.Bytes) * 8
 		switch r.Outcome {
 		case Delivered:
 			rep.DeliveredFrames++

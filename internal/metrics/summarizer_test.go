@@ -18,19 +18,19 @@ func seededLedger(seed int64, n int) []FrameRecord {
 	recs := make([]FrameRecord, n)
 	for i := range recs {
 		ts := time.Duration(i) * frame
-		r := FrameRecord{Index: i, CaptureTS: ts, SSIM: 0.7 + 0.3*rng.Float64()}
+		r := FrameRecord{Index: int32(i), CaptureTS: ts, SSIM: 0.7 + 0.3*rng.Float64()}
 		delay := time.Duration(20+rng.Intn(1+rng.Intn(400))) * time.Millisecond
 		switch p := rng.Intn(100); {
 		case p < 75:
 			r.Outcome = Delivered
 			r.Arrival = ts + delay
 			r.DisplayAt = r.Arrival + time.Duration(rng.Intn(60))*time.Millisecond
-			r.Bytes = 500 + rng.Intn(20000)
+			r.Bytes = int32(500 + rng.Intn(20000))
 		case p < 88:
 			r.Outcome = Skipped
 		default:
 			r.Outcome = Dropped
-			r.Bytes = 500 + rng.Intn(20000)
+			r.Bytes = int32(500 + rng.Intn(20000))
 			if rng.Intn(2) == 0 {
 				r.Arrival = ts + delay
 			}
@@ -96,7 +96,7 @@ func TestSummarizeMatchesReference(t *testing.T) {
 		recs := make([]FrameRecord, n)
 		for i := range recs {
 			ts := time.Duration(i) * frame
-			recs[i] = FrameRecord{Index: i, CaptureTS: ts, Outcome: Delivered, Arrival: ts + delay(i),
+			recs[i] = FrameRecord{Index: int32(i), CaptureTS: ts, Outcome: Delivered, Arrival: ts + delay(i),
 				DisplayAt: ts + delay(i) + 10*time.Millisecond, Bytes: 1000, SSIM: 0.9}
 		}
 		return recs
@@ -135,7 +135,7 @@ func FuzzSummarizeEquivalence(f *testing.F) {
 		recs := make([]FrameRecord, len(data))
 		for i, b := range data {
 			ts := time.Duration(i) * frame
-			r := FrameRecord{Index: i, CaptureTS: ts, Bytes: int(b) * 40, SSIM: float64(b) / 255}
+			r := FrameRecord{Index: int32(i), CaptureTS: ts, Bytes: int32(b) * 40, SSIM: float64(b) / 255}
 			delay := time.Duration(b>>2&0xF) * 7 * time.Millisecond
 			switch b & 3 {
 			case 0, 1:

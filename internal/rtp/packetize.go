@@ -269,11 +269,15 @@ func NewReassembler() *Reassembler {
 
 // Reset empties the reassembler back to NewReassembler's state (Horizon
 // included), keeping its map, pool, lost list and scratch storage.
-// Frames still pending are dropped without being reported lost.
+// Frames still pending are dropped without being reported lost; their
+// tracking records go back to the pool.
 func (r *Reassembler) Reset() {
 	pending := r.pending
 	if pending == nil {
 		pending = make(map[uint32]*pendingFrame)
+	}
+	for _, pf := range pending {
+		r.release(pf)
 	}
 	clear(pending)
 	*r = Reassembler{pending: pending, Horizon: 64, lost: r.lost[:0], free: r.free, expireScratch: r.expireScratch[:0]}

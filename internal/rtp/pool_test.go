@@ -114,6 +114,32 @@ func TestReassemblerPoolReuseIsClean(t *testing.T) {
 	}
 }
 
+// TestReassemblerResetZeroAlloc checks that Reset hands the records
+// of frames still pending back to the pool: a reassembler reset with n
+// frames pending then tracks n new pending frames without allocating.
+func TestReassemblerResetZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	const n = 8
+	r := NewReassembler()
+	id := uint32(0)
+	pushPartial := func() {
+		for i := 0; i < n; i++ {
+			id++
+			r.Push(&Packet{Ext: Extension{FrameID: id, FragIndex: 1, FragCount: 3}, PayloadLen: 100}, 0)
+		}
+		if r.PendingFrames() != n {
+			t.Fatalf("%d frames pending, want %d", r.PendingFrames(), n)
+		}
+		r.Reset()
+	}
+	pushPartial()
+	if allocs := testing.AllocsPerRun(20, pushPartial); allocs != 0 {
+		t.Fatalf("reset-and-refill allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 // TestPacketizeReassembleAllocBudget gates the sender/receiver packet path.
 // The only steady-state allocation is the packetizer slab: one []Packet of
 // packetizerSlabSize per ~256 fragments, amortizing to well under one

@@ -8,12 +8,13 @@ import (
 
 	"rtcadapt/internal/core"
 	"rtcadapt/internal/scenario"
+	"rtcadapt/internal/simtime"
 	"rtcadapt/internal/video"
 )
 
 // sessionAllocBudgetPerVS bounds the heap bytes one extra virtual second
 // of a standard session allocates. What legitimately scales with session
-// length is the result: the frame ledger (30 records of 80 B per second),
+// length is the result: the frame ledger (30 records of 48 B per second),
 // the timeline (10 samples of 48 B per second), the metrics sample buffers
 // (two floats per frame) and the packet and report free lists' high-water
 // marks — about 4 KB per second together. Setup (PRNG sources, pools,
@@ -112,5 +113,61 @@ func TestSessionSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Session{}) + mallocHeader; size > sizeClass {
 		t.Fatalf("a Session takes %d B with its malloc header, past the %d B size class: "+
 			"the 896 B class cost shared-16flow ~30 KB per batch when fresh sessions last crossed it", size, sizeClass)
+	}
+}
+
+// TestShellKeepsReverseTrace checks that a recycled session builds its
+// reverse link's constant trace only on its first init: a Trace is
+// immutable, and rebuilding it cost every warm session about 90 B in
+// three objects (a name, a points copy and the Trace).
+func TestShellKeepsReverseTrace(t *testing.T) {
+	var sh Shell
+	sched := simtime.NewScheduler()
+	first := sh.New(sched, steadyConfig(core.NewNativeRC())).reverseTrace
+	sched.Reset()
+	if again := sh.New(sched, dropConfig(core.NewAdaptive(core.AdaptiveConfig{}), 7)).reverseTrace; first == nil || again != first {
+		t.Fatalf("a warm init's reverse trace is %p, the first init's %p: rebuilt per session", again, first)
+	}
+}
+
+// sharedRetainedBudgetPerFlow bounds the heap a kept RunShared Result
+// holds per flow once everything else is collected. A 30 s flow keeps its
+// ledger, 901 records of 48 B (49,152 B allocated), and its timeline of
+// 48 B samples every 100 ms (about 15 KB): about 63 KB measured. With the
+// 80 B record the ledger alone was 73,728 B and a flow kept about 88 KB.
+const sharedRetainedBudgetPerFlow = 72 << 10
+
+// TestRunSharedRetainedBudget gates the memory a caller keeps: the heap
+// still live after a GC while the Results of a shared-16flow-shaped run
+// (16 adaptive flows 100 ms apart, 30 s each, on a 24 -> 8 Mbps step
+// drop) are held, per flow.
+func TestRunSharedRetainedBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	const flowCount = 16
+	tr := compiledTrace(scenario.StepDrop(24e6, 8e6, 10*time.Second, 20*time.Second))
+	flows := make([]Config, flowCount)
+	for i := range flows {
+		flows[i] = Config{
+			Duration:    30 * time.Second,
+			StartAt:     time.Duration(i) * 100 * time.Millisecond,
+			Seed:        int64(i + 1),
+			Content:     video.TalkingHead,
+			InitialRate: 1e6,
+			Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := RunShared(SharedConfig{Trace: tr, Seed: 1}, flows)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(res)
+	perFlow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / flowCount
+	t.Logf("%d flows retain %d B, %.0f B per flow", flowCount, after.HeapAlloc-before.HeapAlloc, perFlow)
+	if perFlow > sharedRetainedBudgetPerFlow {
+		t.Fatalf("a kept shared-run Result retains %.0f B per flow, budget %d", perFlow, sharedRetainedBudgetPerFlow)
 	}
 }

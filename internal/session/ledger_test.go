@@ -1,6 +1,9 @@
 package session
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,13 +43,95 @@ func TestSparseFrameIndicesResolve(t *testing.T) {
 		Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
 	})
 	for i, r := range res.Records {
-		if r.Index != 5+3*i {
+		if int(r.Index) != 5+3*i {
 			t.Fatalf("record %d has index %d, want %d", i, r.Index, 5+3*i)
 		}
 	}
 	rep := res.Report
 	if frac := float64(rep.DeliveredFrames) / float64(rep.Frames); frac < 0.95 {
 		t.Fatalf("delivered %.3f of frames with sparse indices: %+v", frac, rep)
+	}
+}
+
+// scaledSource shifts a synthetic source's indices by base and multiplies
+// its complexity by gain, to drive the ledger's int32 fields past range.
+type scaledSource struct {
+	*video.Source
+	base int
+	gain float64
+}
+
+func (s scaledSource) Next() video.Frame {
+	f := s.Source.Next()
+	f.Index += s.base
+	f.Spatial *= s.gain
+	f.Temporal *= s.gain
+	return f
+}
+
+// runPanic runs a one-second session on src and returns what it panicked
+// with ("" if it did not). The 1 GiB MTU cuts even a 37 GB frame into a
+// few dozen packets, so a missing guard fails the test instead of
+// packetizing gigabytes.
+func runPanic(src video.FrameSource) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	cfg := steadyConfig(core.NewAdaptive(core.AdaptiveConfig{}))
+	cfg.Duration, cfg.VideoSource, cfg.MTU = time.Second, src, 1<<30
+	Run(cfg)
+	return ""
+}
+
+// TestLedgerIndexOverflowPanics checks that a capture index past int32
+// panics at the ledger write, naming the field, instead of wrapping: the
+// first two frames (indices up to MaxInt32) record, the third does not.
+func TestLedgerIndexOverflowPanics(t *testing.T) {
+	src := scaledSource{video.NewSource(video.SourceConfig{Class: video.TalkingHead, FPS: 30, Seed: 2}), math.MaxInt32 - 1, 1}
+	msg := runPanic(src)
+	if want := fmt.Sprintf("FrameRecord.Index %d overflows int32", int64(math.MaxInt32)+1); !strings.Contains(msg, want) {
+		t.Fatalf("panic %q, want it to contain %q", msg, want)
+	}
+}
+
+// TestLedgerBytesOverflowPanics checks that an encoded size past int32 —
+// a first frame of extreme complexity, about 37 GB at the codec's highest
+// QP — panics at the ledger write, naming the field, before any packet is
+// cut from it.
+func TestLedgerBytesOverflowPanics(t *testing.T) {
+	src := scaledSource{video.NewSource(video.SourceConfig{Class: video.TalkingHead, FPS: 30, Seed: 2}), 0, 1e7}
+	if msg := runPanic(src); !strings.Contains(msg, "FrameRecord.Bytes") || !strings.Contains(msg, "overflows int32") {
+		t.Fatalf("panic %q, want a FrameRecord.Bytes overflow", msg)
+	}
+}
+
+// TestValidateRejectsLedgerOverflow checks the up-front bound: a Duration
+// that captures MaxInt32 frames is accepted, and one that captures a frame
+// more or the longest Duration is rejected, at the default 30 fps and at a
+// caller source's rate.
+func TestValidateRejectsLedgerOverflow(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		src  video.FrameSource
+	}{
+		{"default fps", nil},
+		{"caller source", video.NewSource(video.SourceConfig{Class: video.TalkingHead, FPS: 24, Seed: 2})},
+	} {
+		cfg := steadyConfig(core.NewNativeRC())
+		cfg.VideoSource = c.src
+		interval := cfg.frameInterval()
+		cfg.Duration = math.MaxInt32 * interval
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %d frames rejected: %v", c.name, math.MaxInt32, err)
+		}
+		for _, d := range []time.Duration{cfg.Duration + 1, math.MaxInt64} {
+			cfg.Duration = d
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Duration") {
+				t.Errorf("%s: Duration %v: error %v, want a Duration rejection", c.name, d, err)
+			}
+		}
 	}
 }
 
@@ -58,7 +143,7 @@ func TestFrameSlot(t *testing.T) {
 		t.Fatal("empty ledger found a frame")
 	}
 	for _, idx := range []int{2, 3, 4, 10, 11, 40} {
-		s.records = append(s.records, metrics.FrameRecord{Index: idx})
+		s.records = append(s.records, metrics.FrameRecord{Index: int32(idx)})
 	}
 	for want, idx := range []int{2, 3, 4, 10, 11, 40} {
 		if got, ok := s.frameSlot(idx); !ok || got != want {

@@ -16,6 +16,7 @@ package session
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -233,6 +234,10 @@ type Session struct {
 
 	capacityFn cc.CapacityFunc
 
+	// reverseTrace is the reverse link's constant capacity. A trace is
+	// immutable, so init builds it once and a recycled session keeps it.
+	reverseTrace *trace.Trace
+
 	// records is the per-frame ledger in capture order, sized once for
 	// the session's frame count; state runs parallel to it. Result
 	// resolves records in place and returns the slice itself.
@@ -276,7 +281,7 @@ type spareParts struct {
 // neither: the sender's encoder, the receiver's decoder and the slice the
 // decoder appends one delivery's recovered packets to. A Session holds it
 // through one pointer to stay in the 768-byte size class (with its 8-byte
-// malloc header it takes 752 bytes; TestSessionSizeClass pins it);
+// malloc header it takes 760 bytes; TestSessionSizeClass pins it);
 // separate fields for the three moved every session built outside a shell
 // into the 896-byte class.
 type fecParts struct {
@@ -334,6 +339,11 @@ func (c *Config) Validate() error {
 	if c.FPS < 0 {
 		return fmt.Errorf("session: negative Config.FPS %d", c.FPS)
 	}
+	if capturedFrames(c.Duration, c.frameInterval()) > math.MaxInt32 {
+		// More frames than an int32 capture index numbers: the built-in
+		// sources count from zero, so the ledger could not record them.
+		return fmt.Errorf("session: Config.Duration %v captures more than %d frames", c.Duration, math.MaxInt32)
+	}
 	if c.LossProb < 0 || c.LossProb > 1 {
 		return fmt.Errorf("session: Config.LossProb %v outside [0, 1]", c.LossProb)
 	}
@@ -356,6 +366,15 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("session: Config.Encoder: %w", err)
 	}
 	return nil
+}
+
+// frameInterval is the capture period the session will run at: the
+// caller's source's, or the built-in source's at FPS.
+func (c *Config) frameInterval() time.Duration {
+	if c.VideoSource != nil {
+		return c.VideoSource.FrameInterval()
+	}
+	return (&video.SourceConfig{FPS: c.FPS}).FrameInterval()
 }
 
 // New wires a session onto sched. When cfg.ForwardLink is nil the session
@@ -401,24 +420,25 @@ func (s *Session) init(sched *simtime.Scheduler, cfg Config) {
 	}
 
 	*s = Session{
-		cfg:        cfg,
-		sched:      sched,
-		lastPLI:    -time.Hour,
-		spare:      s.spare,
-		enc:        reuse(&s.enc),
-		reverse:    reuse(&s.reverse),
-		packetizer: reuse(&s.packetizer),
-		history:    reuse(&s.history),
-		recorder:   reuse(&s.recorder),
-		reasm:      reuse(&s.reasm),
-		pc:         reuse(&s.pc),
-		capacityFn: s.capacityFn,
-		records:    s.records[:0],
-		state:      s.state[:0],
-		timeline:   s.timeline[:0],
-		sendPool:   s.sendPool,
-		reports:    s.reports,
-		summ:       s.summ,
+		cfg:          cfg,
+		sched:        sched,
+		lastPLI:      -time.Hour,
+		spare:        s.spare,
+		enc:          reuse(&s.enc),
+		reverse:      reuse(&s.reverse),
+		reverseTrace: s.reverseTrace,
+		packetizer:   reuse(&s.packetizer),
+		history:      reuse(&s.history),
+		recorder:     reuse(&s.recorder),
+		reasm:        reuse(&s.reasm),
+		pc:           reuse(&s.pc),
+		capacityFn:   s.capacityFn,
+		records:      s.records[:0],
+		state:        s.state[:0],
+		timeline:     s.timeline[:0],
+		sendPool:     s.sendPool,
+		reports:      s.reports,
+		summ:         s.summ,
 	}
 
 	if cfg.VideoSource != nil {
@@ -471,8 +491,11 @@ func (s *Session) init(sched *simtime.Scheduler, cfg Config) {
 
 	// The reverse path carries only small feedback packets; a generous
 	// constant-rate link models it.
+	if s.reverseTrace == nil {
+		s.reverseTrace = trace.Constant(5e6)
+	}
 	s.reverse.Init(sched, netem.Config{
-		Trace:     trace.Constant(5e6),
+		Trace:     s.reverseTrace,
 		PropDelay: cfg.PropDelay,
 		LossProb:  cfg.FeedbackLossProb,
 		Seed:      cfg.Seed + 3,
@@ -535,7 +558,7 @@ func capturedFrames(d, interval time.Duration) int {
 	if d <= 0 || interval <= 0 {
 		return 0
 	}
-	return int((d + interval - 1) / interval)
+	return int((d-1)/interval) + 1
 }
 
 // reserveTimeline sizes the timeline for a run whose scheduler stops at
@@ -555,11 +578,11 @@ func (s *Session) frameSlot(idx int) (int, bool) {
 	if len(s.records) == 0 {
 		return 0, false
 	}
-	if i := idx - s.records[0].Index; i >= 0 && i < len(s.records) && s.records[i].Index == idx {
+	if i := idx - int(s.records[0].Index); i >= 0 && i < len(s.records) && int(s.records[i].Index) == idx {
 		return i, true
 	}
 	return slices.BinarySearchFunc(s.records, idx, func(r metrics.FrameRecord, target int) int {
-		return cmp.Compare(r.Index, target)
+		return cmp.Compare(int(r.Index), target)
 	})
 }
 
@@ -866,13 +889,15 @@ func (s *Session) capture() {
 	s.cfg.Controller.OnEncoded(now, ef)
 
 	skip := ef.Type == codec.TypeSkip
+	// QP (at most codec.MaxQP) and the temporal layer (below the at most
+	// two layers) fit a byte because codec.Config.Validate bounds both.
 	rec := metrics.FrameRecord{
-		Index:         frame.Index,
+		Index:         ledgerInt32("Index", frame.Index),
 		CaptureTS:     frame.PTS,
-		Bytes:         ef.Bytes(),
-		QP:            ef.QP,
+		Bytes:         ledgerInt32("Bytes", ef.Bytes()),
+		QP:            uint8(ef.QP),
 		Keyframe:      ef.Type == codec.TypeI,
-		TemporalLayer: ef.TemporalLayer,
+		TemporalLayer: uint8(ef.TemporalLayer),
 		SSIM:          ef.SSIM,
 	}
 	if skip {
@@ -901,6 +926,17 @@ func (s *Session) capture() {
 		s.fecRepairs += len(ps.repairs)
 	}
 	s.sched.AfterArg(ef.EncodeTime, sendEncodedArg, ps)
+}
+
+// ledgerInt32 narrows a ledger field to the record's int32, panicking
+// with the field's name rather than wrapping: the capture index comes
+// from a caller's FrameSource and the size from an encoder that extreme
+// complexity can drive past 2 GiB.
+func ledgerInt32(field string, v int) int32 {
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		panic(fmt.Sprintf("session: FrameRecord.%s %d overflows int32", field, v))
+	}
+	return int32(v)
 }
 
 // audioPayloadType marks audio packets on the shared path.

@@ -218,7 +218,7 @@ func TestLedgerConservation(t *testing.T) {
 	}
 	// Records are in capture order with consecutive indices.
 	for i, r := range res.Records {
-		if r.Index != i {
+		if int(r.Index) != i {
 			t.Fatalf("record %d has index %d", i, r.Index)
 		}
 	}

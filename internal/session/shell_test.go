@@ -21,7 +21,10 @@ import (
 
 // sentinel values no live session produces.
 const (
-	sentinelInt  = -0x5eed
+	sentinelInt = -0x5eed
+	// sentinelByte is above codec.MaxQP, the temporal-layer bound and
+	// every metrics.Outcome, for the ledger's one-byte fields.
+	sentinelByte = 0xEE
 	sentinelTime = -time.Hour
 	sentinelRate = units.BitsPerSec(-1)
 )
@@ -39,8 +42,8 @@ func poisonShell(s *Session) {
 	for i := range s.records[:cap(s.records)] {
 		s.records[:cap(s.records)][i] = metrics.FrameRecord{
 			Index: sentinelInt, CaptureTS: sentinelTime, Arrival: sentinelTime, DisplayAt: sentinelTime,
-			Bytes: sentinelInt, QP: sentinelInt, Keyframe: true, TemporalLayer: sentinelInt,
-			SSIM: sentinelInt, Outcome: metrics.Delivered,
+			Bytes: sentinelInt, QP: sentinelByte, Keyframe: true, TemporalLayer: sentinelByte,
+			SSIM: sentinelInt, Outcome: sentinelByte,
 		}
 	}
 	for i := range s.state[:cap(s.state)] {

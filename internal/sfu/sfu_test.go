@@ -111,7 +111,7 @@ func TestSFUSenderFeedbackLoopWorks(t *testing.T) {
 	var lateBits float64
 	for _, rec := range ledger {
 		if rec.CaptureTS >= 15*time.Second {
-			lateBits += float64(rec.Bytes * 8)
+			lateBits += float64(rec.Bytes) * 8
 		}
 	}
 	lateRate := lateBits / 5

@@ -150,9 +150,7 @@ func (s *Source) Init(cfg SourceConfig) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.FPS <= 0 {
-		cfg.FPS = 30
-	}
+	cfg.FPS = cfg.fps()
 	p := classParams(cfg.Class)
 	*s = Source{cfg: cfg, p: p, rng: s.rng, motion: p.motionBase}
 	s.rng.Seed(cfg.Seed)
@@ -162,8 +160,20 @@ func (s *Source) Init(cfg SourceConfig) {
 func (s *Source) FPS() int { return s.cfg.FPS }
 
 // FrameInterval returns the capture period.
-func (s *Source) FrameInterval() time.Duration {
-	return time.Duration(float64(time.Second) / float64(s.cfg.FPS))
+func (s *Source) FrameInterval() time.Duration { return s.cfg.FrameInterval() }
+
+// fps is the capture rate a source built from c runs at: FPS, or 30
+// when FPS is not positive.
+func (c *SourceConfig) fps() int {
+	if c.FPS <= 0 {
+		return 30
+	}
+	return c.FPS
+}
+
+// FrameInterval is the capture period of a source built from c.
+func (c *SourceConfig) FrameInterval() time.Duration {
+	return time.Duration(float64(time.Second) / float64(c.fps()))
 }
 
 // Class returns the content class.
