@@ -22,18 +22,16 @@ lint:
 lint-fix:
 	$(GO) run ./cmd/rtclint -fix $(PKGS)
 
-# Just the interprocedural provers (whole-module call graph): wall clock /
-# unseeded rand / spawns in internal/ or reachable from the entry
-# packages, package-level mutable state, and cross-shard
-# scheduler/recorder capture. See DESIGN.md §11.
+# Just the interprocedural purity prover (whole-module call graph): wall
+# clock / unseeded rand / spawns in internal/ or reachable from the entry
+# packages. See DESIGN.md §11.
 lint-purity:
-	$(GO) run ./cmd/rtclint -run transitivepurity,globalmut,shardsafe $(PKGS)
+	$(GO) run ./cmd/rtclint -run transitivepurity $(PKGS)
 
-# Just the two dataflow passes: dimensional unit flow over internal/units
-# types and name suffixes, and the wrap-aware sequence-arithmetic prover.
-# See DESIGN.md §13.
+# Just the dataflow pass: dimensional unit flow over internal/units types
+# and name suffixes. See DESIGN.md §13.
 lint-units:
-	$(GO) run ./cmd/rtclint -run unitflow,seqarith $(PKGS)
+	$(GO) run ./cmd/rtclint -run unitflow $(PKGS)
 
 # CI smoke gate: the full suite over this module must finish inside the
 # wall-clock budget, so whole-module analysis can't become the long pole.
@@ -115,7 +113,8 @@ bench-parallel:
 	$(GO) test -run='^$$' -bench='BenchmarkRunner(Sequential|Parallel)' -benchtime=3x ./internal/experiments
 
 # Fast allocation- and complexity-regression gate for CI: run the
-# allocation budget tests (AllocsPerRun gates per layer, a warm
+# allocation budget tests (AllocsPerRun gates per layer, the pacer's
+# enqueue-and-pump cycle among them, a warm
 # Summarizer and a reassembler reset with frames pending, the whole-session marginal-bytes gates with and without
 # NACK, the Session's and the FrameRecord's size classes, the heap a kept
 # shared-link Result retains per flow, the fleet's bytes per recycled session
@@ -134,7 +133,7 @@ bench-parallel:
 bench-smoke:
 	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|AllocPerCell|SizeClass|RetainedBudget|CostIndependentOfDepth|CostIndependentOfCapacity|CostScalesWithDraws' -v \
 		./internal/simtime ./internal/netem ./internal/rtp ./internal/fec \
-		./internal/session ./internal/stats ./internal/metrics ./internal/fleet ./internal/experiments
+		./internal/pacer ./internal/session ./internal/stats ./internal/metrics ./internal/fleet ./internal/experiments
 	$(GO) test -run='^$$' -bench='BenchmarkScheduler|BenchmarkLinkSaturated|BenchmarkPacketizeReuse' \
 		-benchtime=1x -benchmem ./internal/simtime ./internal/netem ./internal/rtp
 

@@ -182,7 +182,7 @@ func printSummary(w *cli.Printer, res session.Result) {
 }
 
 func printFrames(w *cli.Printer, res session.Result) {
-	w.Printf("index,capture_s,outcome,latency_ms,display_ms,bytes,qp,keyframe,ssim\n")
+	w.Printf("index,capture_s,outcome,latency_ms,display_ms,bytes,qp,keyframe,ssim,tl\n")
 	for _, r := range res.Records {
 		lat, disp := 0.0, 0.0
 		if r.Arrival > 0 {
@@ -191,8 +191,8 @@ func printFrames(w *cli.Printer, res session.Result) {
 		if r.DisplayAt > 0 {
 			disp = r.DisplayDelay().Seconds() * 1000
 		}
-		w.Printf("%d,%.3f,%s,%.1f,%.1f,%d,%d,%t,%.4f\n",
-			r.Index, r.CaptureTS.Seconds(), r.Outcome, lat, disp, r.Bytes, r.QP, r.Keyframe, r.SSIM)
+		w.Printf("%d,%.3f,%s,%.1f,%.1f,%d,%d,%t,%.4f,%d\n",
+			r.Index, r.CaptureTS.Seconds(), r.Outcome, lat, disp, r.Bytes, r.QP, r.Keyframe, r.SSIM, r.TemporalLayer)
 	}
 }
 

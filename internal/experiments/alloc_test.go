@@ -78,21 +78,33 @@ func TestFECCellAllocPerCell(t *testing.T) {
 	if cond.Random != 0.02 {
 		t.Fatalf("condition 3 is %+v, want 2%% random loss", cond)
 	}
+	cell := figure5Cells([]LossCondition{cond}, []RecoveryMode{ModeFECNACK}, []int64{1})[0]
 	w := new(worker)
-	if res := w.run(figure5Config(cond, ModeFECNACK, 1)); res.FECRecovered == 0 || res.Retransmitted == 0 {
+	if res := w.run(cell.config()); res.FECRecovered == 0 || res.Retransmitted == 0 {
 		t.Fatalf("the fec+nack cell recovered %d packets and retransmitted %d", res.FECRecovered, res.Retransmitted)
 	}
 	best := ^uint64(0)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		w.run(figure5Config(cond, ModeFECNACK, 1))
+		w.run(cell.config())
 		runtime.ReadMemStats(&after)
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
 	t.Logf("a warm fec+nack cell allocates %d B", best)
 	if best > cellAllocBudget {
 		t.Fatalf("a warm fec+nack cell allocates %d B, budget %d", best, cellAllocBudget)
+	}
+}
+
+// TestFigure5CellsShareTrace checks that Figure 5 builds its constant
+// link once per sweep: the first and last cells' sessions run on the same
+// trace.
+func TestFigure5CellsShareTrace(t *testing.T) {
+	cells := figure5Cells(Figure5Conditions(), RecoveryModes(), DefaultSeeds())
+	first, last := cells[0].config().Trace, cells[len(cells)-1].config().Trace
+	if first == nil || last != first {
+		t.Fatalf("the last cell's trace is %p, the first cell's %p: built per cell", last, first)
 	}
 }
 

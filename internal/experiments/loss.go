@@ -85,19 +85,7 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 	}
 	conds := Figure5Conditions()
 	modes := RecoveryModes()
-	type cell struct {
-		cond LossCondition
-		mode RecoveryMode
-		seed int64
-	}
-	cells := make([]cell, 0, len(conds)*len(modes)*len(seeds))
-	for _, cond := range conds {
-		for _, mode := range modes {
-			for _, seed := range seeds {
-				cells = append(cells, cell{cond: cond, mode: mode, seed: seed})
-			}
-		}
-	}
+	cells := figure5Cells(conds, modes, seeds)
 	type sample struct {
 		frac, p95, ssim float64
 		pli, rtx, fec   int
@@ -107,7 +95,7 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 		return fmt.Sprintf("figure5 %s/%s seed=%d", c.cond.Name, c.mode, c.seed)
 	}, func(w *worker, i int) sample {
 		c := cells[i]
-		res := w.run(figure5Config(c.cond, c.mode, c.seed))
+		res := w.run(c.config())
 		return sample{
 			frac: float64(res.Report.DeliveredFrames) / float64(res.Report.Frames),
 			p95:  res.Report.P95NetDelay.Seconds(),
@@ -150,19 +138,42 @@ func (r *Runner) Figure5(seeds []int64) []Figure5Row {
 	return rows
 }
 
-// figure5Config builds one Figure 5 cell's session: 30 s at a constant
-// 2 Mbps under the condition's loss and the mode's recovery.
-func figure5Config(cond LossCondition, mode RecoveryMode, seed int64) session.Config {
+// figure5Cell is one (condition, mode, seed) cell of Figure 5.
+type figure5Cell struct {
+	cond LossCondition
+	mode RecoveryMode
+	seed int64
+	link *trace.Trace
+}
+
+// figure5Cells lists the sweep's cells in row order. Traces are
+// read-only, so every cell's constant 2 Mbps link shares one.
+func figure5Cells(conds []LossCondition, modes []RecoveryMode, seeds []int64) []figure5Cell {
+	link := trace.Constant(2e6)
+	cells := make([]figure5Cell, 0, len(conds)*len(modes)*len(seeds))
+	for _, cond := range conds {
+		for _, mode := range modes {
+			for _, seed := range seeds {
+				cells = append(cells, figure5Cell{cond: cond, mode: mode, seed: seed, link: link})
+			}
+		}
+	}
+	return cells
+}
+
+// config builds the cell's session: 30 s at a constant 2 Mbps under the
+// condition's loss and the mode's recovery.
+func (c figure5Cell) config() session.Config {
 	cfg := session.Config{
 		Duration:    30 * time.Second,
-		Seed:        seed,
+		Seed:        c.seed,
 		Content:     video.TalkingHead,
-		Trace:       trace.Constant(2e6),
+		Trace:       c.link,
 		InitialRate: 1e6,
-		LossProb:    cond.Random,
+		LossProb:    c.cond.Random,
 		Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
 	}
-	switch mode {
+	switch c.mode {
 	case ModeNACK:
 		cfg.NACK = true
 	case ModeFEC:
@@ -171,8 +182,8 @@ func figure5Config(cond LossCondition, mode RecoveryMode, seed int64) session.Co
 		cfg.NACK = true
 		cfg.FECGroupSize = 4
 	}
-	if cond.BurstRate > 0 {
-		cfg.BurstLoss = netem.NewGilbertElliott(cond.BurstLen, cond.BurstRate)
+	if c.cond.BurstRate > 0 {
+		cfg.BurstLoss = netem.NewGilbertElliott(c.cond.BurstLen, c.cond.BurstRate)
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("experiments: bad figure5 config: %v", err))

@@ -17,9 +17,9 @@
 // Reset (clock back to zero, queue empty, event pools kept warm), and
 // session i+1 starts. Shards run concurrently on the
 // experiments.Runner worker pool, but no scheduler, recorder, or
-// session state ever crosses a shard boundary — the shardsafe analyzer
-// polices exactly this discipline, and the fleet is its first real
-// client.
+// session state ever crosses a shard boundary. The shard-count
+// invariance tests, the fleet-smoke 1-vs-8-shard cmp and CI's -race job
+// police exactly this discipline.
 //
 // Because a session is a pure function of its Config (and the scheduler
 // Reset contract restarts the event sequence counter), the Summary of

@@ -107,16 +107,7 @@ func TestCallGraphEdges(t *testing.T) {
 // ordering must not depend on map iteration.
 func TestCallGraphDeterministic(t *testing.T) {
 	render := func() string {
-		loader, byPath := loadFixtures(t)
-		var pkgs []*Package
-		var paths []string
-		for p := range byPath {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for _, p := range paths {
-			pkgs = append(pkgs, byPath[p])
-		}
+		loader, pkgs := loadFreshFixtures(t)
 		g := buildCallGraph(loader.Fset, pkgs)
 		var b strings.Builder
 		for _, n := range g.ModuleNodes {

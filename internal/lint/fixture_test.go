@@ -5,25 +5,51 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // fixturePrefix is the import-path root the fixture tree is loaded under.
 const fixturePrefix = "fixture"
 
+// fixtures is the fixture tree, type-checked on first use and shared by
+// every test after it: analyzers only read the packages they are given.
+var fixtures struct {
+	once   sync.Once
+	loader *Loader
+	byPath map[string]*Package
+	err    error
+}
+
 // loadFixtures loads testdata/src once per test binary.
 func loadFixtures(t *testing.T) (*Loader, map[string]*Package) {
+	t.Helper()
+	fixtures.once.Do(func() {
+		fixtures.loader = NewLoader()
+		pkgs, err := fixtures.loader.LoadModule(filepath.Join("testdata", "src"), fixturePrefix)
+		fixtures.err = err
+		fixtures.byPath = make(map[string]*Package, len(pkgs))
+		for _, p := range pkgs {
+			fixtures.byPath[p.Path] = p
+		}
+	})
+	if fixtures.err != nil {
+		t.Fatalf("loading fixtures: %v", fixtures.err)
+	}
+	return fixtures.loader, fixtures.byPath
+}
+
+// loadFreshFixtures type-checks testdata/src with a loader of its own,
+// for the tests that compare two independent loads. The packages come in
+// the loader's order, sorted by import path.
+func loadFreshFixtures(t *testing.T) (*Loader, []*Package) {
 	t.Helper()
 	loader := NewLoader()
 	pkgs, err := loader.LoadModule(filepath.Join("testdata", "src"), fixturePrefix)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	return loader, byPath
+	return loader, pkgs
 }
 
 // wantRe extracts the backquoted patterns of a `// want` comment.
@@ -134,27 +160,11 @@ func TestErrDropFixture(t *testing.T) {
 		"internal/errdropfix", "cmd/errdropcmd", "scopecheck")
 }
 
-// The fixture internal/simtime package carries want comments for two
-// analyzers — an import-layer violation and the in-scope hotpathalloc
-// cases (the scheduler package polices its own self-scheduling) — and
-// runOn matches every listed package's wants, so both tests that list it
-// must run both analyzers. The extra analyzer is inert on each test's
-// other packages: hotpathalloc scopes only the hot-path packages, and
-// the additional import edges here respect the layering.
 func TestImportLayerFixture(t *testing.T) {
 	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{ImportLayer, HotPathAlloc},
+	runOn(t, loader, byPath, []*Analyzer{ImportLayer},
 		"internal/codec", "internal/session", "internal/simtime",
 		"internal/stats", "internal/sfu", "internal/mystery", "cmd/lintdemo")
-}
-
-// scopecheck is not listed here: it sits outside any layer, so the
-// piggybacked importlayer run would flag it, and it contains no
-// scheduler calls for hotpathalloc to stay silent about anyway.
-func TestHotPathAllocFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{HotPathAlloc, ImportLayer},
-		"internal/netem", "internal/simtime")
 }
 
 // TestTransitivePurityFixture: internal/core is an entry-point package
@@ -186,17 +196,6 @@ func TestRawGoFixture(t *testing.T) {
 	runOn(t, loader, byPath, []*Analyzer{TransitivePurity}, "internal/experiments", "scopecheck")
 }
 
-func TestGlobalMutFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{GlobalMut},
-		"internal/globalmutfix", "internal/globalmutuse", "scopecheck")
-}
-
-func TestShardSafeFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{ShardSafe}, "internal/shardfix", "internal/obs")
-}
-
 // TestUnitFlowFixture: the fixture units package provides the declared
 // types (and is itself exempt by package name); unitflowfix holds the
 // violations and the blessed conversions.
@@ -213,15 +212,6 @@ func TestUnitSuffixFixture(t *testing.T) {
 	runOn(t, loader, byPath, []*Analyzer{UnitFlow}, "unitfix")
 }
 
-// TestSeqArithFixture: the fixture rtp package hosts the blessed Seq*
-// helpers (silent bodies, one unblessed in-package violation); seqfix
-// exercises taint flow through locals, params, collections, and the PR 7
-// SeqLess-orders-a-sort reconstruction.
-func TestSeqArithFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{SeqArith}, "internal/rtp", "internal/seqfix", "scopecheck")
-}
-
 // TestIgnoreFixture runs the full suite so directives interact with every
 // analyzer the way they do in production (including importlayer's
 // package-level finding, suppressed on the package clause).
@@ -236,11 +226,7 @@ func TestIgnoreFixture(t *testing.T) {
 // runner itself.
 func TestRunByteDeterministic(t *testing.T) {
 	render := func() string {
-		loader := NewLoader()
-		pkgs, err := loader.LoadModule(filepath.Join("testdata", "src"), fixturePrefix)
-		if err != nil {
-			t.Fatalf("loading fixtures: %v", err)
-		}
+		loader, pkgs := loadFreshFixtures(t)
 		runner := &Runner{Analyzers: Analyzers(), ReportUnusedIgnores: true}
 		var b strings.Builder
 		for _, d := range runner.Run(loader.Fset, pkgs) {
@@ -278,17 +264,12 @@ func TestFixtureWantsPresent(t *testing.T) {
 		"fixture/internal/session",
 		"fixture/internal/simtime",
 		"fixture/internal/mystery",
-		"fixture/internal/netem",
-		"fixture/internal/globalmutfix",
-		"fixture/internal/shardfix",
 		"fixture/puritydep",
 		"fixture/cmd/errdropcmd",
 		"fixture/floateqfix",
 		"fixture/unitfix",
 		"fixture/ctorfix/use",
 		"fixture/unitflowfix",
-		"fixture/internal/rtp",
-		"fixture/internal/seqfix",
 	} {
 		if perPkg[path] == 0 {
 			t.Errorf("fixture %s has no want expectations", path)

@@ -18,11 +18,9 @@ type Program struct {
 	// path (Package.Module + Path), never by hard-coded full paths.
 	Pkgs []*Package
 
-	graph     *CallGraph
-	purity    *purityResult
-	globalMut *globalMutResult
-	unitFlow  *unitFlowResult
-	seqArith  *seqArithResult
+	graph    *CallGraph
+	purity   *purityResult
+	unitFlow *unitFlowResult
 }
 
 // Graph returns the module call graph, building it on first use.

@@ -197,6 +197,21 @@ func (inf *unitInference) objUnit(obj types.Object) (unit, bool) {
 	return u, ok
 }
 
+// objOf resolves an lvalue-ish expression to its object: an identifier or
+// the field of a selector.
+func objOf(info *types.Info, e ast.Expr) types.Object {
+	switch v := unparen(e).(type) {
+	case *ast.Ident:
+		if obj := info.Defs[v]; obj != nil {
+			return obj
+		}
+		return info.Uses[v]
+	case *ast.SelectorExpr:
+		return info.Uses[v.Sel]
+	}
+	return nil
+}
+
 // setUnit records an inference; first inference wins (seeds run before
 // propagation, declared types before suffixes), conflicts surface in the
 // report pass at the expression that mixes them.

@@ -24,7 +24,7 @@ import (
 
 // csvHeader returns the canonical CSV header row. A function rather than
 // a package-level slice so no caller can mutate the shared canonical
-// form (the globalmut analyzer enforces this shape module-wide).
+// form.
 func csvHeader() []string {
 	return []string{"type", "seq", "at_ns", "track", "kind", "attrs"}
 }

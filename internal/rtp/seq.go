@@ -4,9 +4,9 @@ package rtp
 // mod-2^16 space, where raw machine comparison and subtraction are both
 // wrong for any pair straddling the wrap; every ordering or distance
 // computation goes through these helpers. They are the one sanctioned
-// home of raw uint16 arithmetic on sequence values — the seqarith
-// analyzer flags it anywhere else — and each carries a 2^16-wrap
-// regression test in seq_test.go.
+// home of raw uint16 arithmetic on sequence values, and each carries a
+// 2^16-wrap regression test in seq_test.go; the NACK and FEC wrap tests
+// fail on a raw comparison at their call sites.
 
 // SeqLess compares RTP sequence numbers with 16-bit wraparound (RFC 3550
 // arithmetic): a < b iff the signed distance from a to b is positive.

@@ -26,10 +26,9 @@ func TestSeqLessAcrossWrap(t *testing.T) {
 	}
 }
 
-// TestSeqLessNonTransitive pins the property that motivated SeqAge (and
-// the seqarith analyzer's sort-comparator rule): three values spaced
-// over more than half the sequence space order cyclically under SeqLess,
-// so it must never seed a sort.
+// TestSeqLessNonTransitive pins the property that motivated SeqAge: three
+// values spaced over more than half the sequence space order cyclically
+// under SeqLess, so it must never seed a sort.
 func TestSeqLessNonTransitive(t *testing.T) {
 	a, b, c := uint16(0x0000), uint16(0x6000), uint16(0xC000)
 	if !SeqLess(a, b) || !SeqLess(b, c) {
