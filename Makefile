@@ -2,7 +2,7 @@ GO       ?= go
 PKGS     := ./...
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint lint-fix lint-purity lint-units lint-budget fuzz-smoke bench bench-parallel bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke results-smoke frames-smoke profile check
+.PHONY: build test race lint lint-fix lint-purity lint-units lint-budget fuzz-smoke bench bench-parallel bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke results-smoke frames-smoke timeline-smoke profile check
 
 build:
 	$(GO) build $(PKGS)
@@ -105,6 +105,14 @@ results-smoke:
 frames-smoke:
 	$(GO) run ./cmd/rtcsim -out frames -tl 2 -fec 4 -nack | diff - docs/frames_snapshot.csv
 
+# Timeline gate. rtcsim's -out timeline (the 100 ms capacity, estimate,
+# encoder-target and queue samples of the default session) is output no
+# other gate reads; this diffs it against the committed snapshot. An
+# intended change regenerates it with:
+#   go run ./cmd/rtcsim -out timeline > docs/timeline_snapshot.csv
+timeline-smoke:
+	$(GO) run ./cmd/rtcsim -out timeline | diff - docs/timeline_snapshot.csv
+
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(PKGS)
 
@@ -115,7 +123,8 @@ bench-parallel:
 # Fast allocation- and complexity-regression gate for CI: run the
 # allocation budget tests (AllocsPerRun gates per layer, the pacer's
 # enqueue-and-pump cycle among them, a warm
-# Summarizer and a reassembler reset with frames pending, the whole-session marginal-bytes gates with and without
+# Summarizer and a reassembler reset with frames pending, a PRNG stream's
+# register-free first 273 draws, the whole-session marginal-bytes gates with and without
 # NACK, the Session's and the FrameRecord's size classes, the heap a kept
 # shared-link Result retains per flow, the fleet's bytes per recycled session
 # and the experiment runner's bytes per drop cell, per Figure 5 fec+nack
@@ -134,8 +143,8 @@ bench-smoke:
 	$(GO) test -run='AllocBudget|ZeroAlloc|AllocPerSession|AllocPerCell|SizeClass|RetainedBudget|CostIndependentOfDepth|CostIndependentOfCapacity|CostScalesWithDraws' -v \
 		./internal/simtime ./internal/netem ./internal/rtp ./internal/fec \
 		./internal/pacer ./internal/session ./internal/stats ./internal/metrics ./internal/fleet ./internal/experiments
-	$(GO) test -run='^$$' -bench='BenchmarkScheduler|BenchmarkLinkSaturated|BenchmarkPacketizeReuse' \
-		-benchtime=1x -benchmem ./internal/simtime ./internal/netem ./internal/rtp
+	$(GO) test -run='^$$' -bench='BenchmarkScheduler|BenchmarkLinkSaturated|BenchmarkPacketizeReuse|BenchmarkRandStream' \
+		-benchtime=1x -benchmem ./internal/simtime ./internal/netem ./internal/rtp ./internal/stats
 
 # The benchmark's own tests: every rtcbench workload at a tiny size, with
 # its replays and correctness checks. cmd/rtcbench is a module of its own,

@@ -9,15 +9,17 @@ import (
 // fleetAllocBudgetPerSession bounds the heap bytes one more session of a
 // one-shard `mixed` fleet of 2 s sessions allocates. The shard's shell
 // keeps every session's ledger, timeline, packet slabs, PRNG sources,
-// rings and windows, so what a session still allocates is mostly what
-// Build makes for it — the compiled path, whose synthetic LTE and WiFi
-// capacity traces draw from a PRNG source of their own (~6 KB averaged
-// over the population), and the controller — plus its summary's sample
-// buffers (~1 KB), its tickers and jitter buffer, and the feedback
-// buffers still in flight when it ends: about 9.4 KB. Building every
-// session from nothing cost about 82 KB. Raise the budget only with a
+// feedback reports and their arrival buffers (those still in flight when
+// a session ends included), rings and windows, so what a session still
+// allocates is mostly what Build makes for it — the compiled path, whose
+// synthetic LTE and WiFi capacity traces each hold their points and a
+// register-free 96 B PRNG (~650 B averaged over the population), and the
+// controller (~300 B) — plus its summary row, its tickers and its jitter
+// buffer: about 2.0 KB. The 4.9 KB PRNG register each synthetic trace
+// once built put it at 6.1 KB, and building every session from nothing
+// cost about 82 KB. Raise the budget only with a
 // note of what allocates per session and why the shell cannot keep it.
-const fleetAllocBudgetPerSession = 12 << 10
+const fleetAllocBudgetPerSession = 3 << 10
 
 // mixedFleetAlloc returns the bytes a one-shard mixed fleet of n sessions
 // allocates, the least of three runs so a stray runtime allocation cannot

@@ -206,8 +206,53 @@ func TestFeedbackReportsRecycle(t *testing.T) {
 	// Stop between deliveries: both senders tick on multiples of 50 ms and
 	// the reverse path is 25 ms long, so every report is back on the list.
 	sched.RunUntil(7*time.Second + 30*time.Millisecond)
-	if n := len(s.reports); n == 0 || n > 4 {
-		t.Fatalf("%d reports on the free list after 280 reports, want 1..4", n)
+	if n := len(s.reports); n == 0 || n > 4 || int(s.freeReports) != n {
+		t.Fatalf("%d of %d reports on the free list after 280 reports, want all of 1..4", s.freeReports, n)
+	}
+}
+
+// TestShellReclaimsReportsInFlight checks that a recycled session takes
+// back the reports its last run left on the reverse link, with their
+// arrival buffers, instead of minting new ones.
+func TestShellReclaimsReportsInFlight(t *testing.T) {
+	cfg := steadyConfig(core.NewAdaptive(core.AdaptiveConfig{}))
+	cfg.Duration = 2 * time.Second
+	// Reports leave every 50 ms and take 25 ms to arrive: 10 ms past a
+	// send one is in flight, 30 ms past it none is.
+	inFlightAt, deliveredAt := cfg.Duration+10*time.Millisecond, cfg.Duration+30*time.Millisecond
+
+	var sh Shell
+	sched := simtime.NewScheduler()
+	s := sh.New(sched, cfg)
+	sched.RunUntil(inFlightAt)
+	minted, inFlight := len(s.reports), len(s.reports)-int(s.freeReports)
+	if inFlight == 0 {
+		t.Fatalf("no report in flight at %v: the test does not reach the reclaim", inFlightAt)
+	}
+	for run := 0; run < 3; run++ {
+		sched.Reset()
+		s = sh.New(sched, cfg)
+		if int(s.freeReports) != minted || len(s.reports) != minted {
+			t.Fatalf("run %d starts with %d of %d reports free, want all %d", run, s.freeReports, len(s.reports), minted)
+		}
+		sched.RunUntil(inFlightAt)
+		if len(s.reports) != minted {
+			t.Fatalf("run %d minted %d reports, the first run %d", run, len(s.reports), minted)
+		}
+	}
+
+	// A run stopped with reports in flight leaves its recorder as many
+	// arrival buffers as one stopped after they arrived.
+	buffers := func(end time.Duration) int {
+		var sh Shell
+		sched := simtime.NewScheduler()
+		sh.New(sched, cfg)
+		sched.RunUntil(end)
+		sched.Reset()
+		return freeArrivalBuffers(sh.New(sched, cfg).recorder)
+	}
+	if got, want := buffers(inFlightAt), buffers(deliveredAt); got != want {
+		t.Fatalf("stopped with %d reports in flight, the recorder keeps %d arrival buffers; with none in flight, %d", inFlight, got, want)
 	}
 }
 

@@ -244,7 +244,7 @@ type Session struct {
 	records           []metrics.FrameRecord
 	state             []frameState
 	sendPool          []*pendingSend
-	reports           []*fb.Report // recycled reverse-link payloads
+	reports           []*fb.Report // every reverse-link payload minted; the first freeReports are free
 	timeline          []TimelinePoint
 	pliSent           int
 	nacksSent         int
@@ -252,6 +252,7 @@ type Session struct {
 	fecRepairs        int
 	lastPLI           time.Duration
 	keyframeRequested bool
+	freeReports       int32 // beside the bool, in what would be its padding
 	frameInterval     time.Duration
 
 	// summ selects the Report's percentiles in buffers a recycled session
@@ -418,6 +419,7 @@ func (s *Session) init(sched *simtime.Scheduler, cfg Config) {
 	if in, ok := cfg.Controller.(obs.Instrumentable); ok {
 		in.SetRecorder(cfg.Recorder)
 	}
+	s.reclaimReports()
 
 	*s = Session{
 		cfg:          cfg,
@@ -438,6 +440,7 @@ func (s *Session) init(sched *simtime.Scheduler, cfg Config) {
 		timeline:     s.timeline[:0],
 		sendPool:     s.sendPool,
 		reports:      s.reports,
+		freeReports:  s.freeReports,
 		summ:         s.summ,
 	}
 
@@ -627,7 +630,8 @@ func (s *Session) SSRC() uint32 { return s.cfg.SSRC }
 // their reports through it; the session's own receiver sends its reports
 // the same way from feedbackTick. The report travels as a *fb.Report from
 // the session's free list, which onFeedback refills once the report is
-// consumed; reports lost on the reverse link are garbage collected. The
+// consumed; reports lost on the reverse link, or in flight when the run
+// ends, return to it at the next init. The
 // report's arrival buffer is the session's from here on: once consumed it
 // goes to the recorder RecycleFeedbackTo named, or else to the session's
 // own.
@@ -647,16 +651,45 @@ func (s *Session) SendFeedback(rep fb.Report) {
 // every run in a Shell start from the session's own recorder.
 func (s *Session) RecycleFeedbackTo(rec *fb.Recorder) { s.recycleTo = rec }
 
-// acquireReport pops a consumed report off the free list (zeroed except
-// for its NACK buffer, which it keeps for reuse) or mints one.
+// acquireReport takes a consumed report off the free list (zeroed except
+// for its NACK buffer, which it keeps for reuse) or mints one. Either way
+// it joins the reports in flight, the tail of s.reports.
 func (s *Session) acquireReport() *fb.Report {
-	if n := len(s.reports); n > 0 {
-		p := s.reports[n-1]
-		s.reports[n-1] = nil
-		s.reports = s.reports[:n-1]
+	if s.freeReports == 0 {
+		p := new(fb.Report)
+		s.reports = append(s.reports, p)
 		return p
 	}
-	return new(fb.Report)
+	s.freeReports--
+	return s.reports[s.freeReports]
+}
+
+// releaseReport moves a consumed report from the reports in flight back
+// to the free list. A session has a few reports in flight at a time.
+func (s *Session) releaseReport(p *fb.Report) {
+	for i := int(s.freeReports); i < len(s.reports); i++ {
+		if s.reports[i] == p {
+			s.reports[i], s.reports[s.freeReports] = s.reports[s.freeReports], p
+			s.freeReports++
+			return
+		}
+	}
+}
+
+// reclaimReports returns the reports the last run left in flight, or lost
+// on the reverse link, to the free list and their arrival buffers to the
+// recorder consumed reports went to: the run's scheduler events and its
+// link queues are gone, so nothing will deliver them.
+func (s *Session) reclaimReports() {
+	rec := s.recorder
+	if s.recycleTo != nil {
+		rec = s.recycleTo
+	}
+	for _, p := range s.reports[s.freeReports:] {
+		rec.Recycle(*p)
+		*p = fb.Report{Nacks: p.Nacks[:0]}
+	}
+	s.freeReports = int32(len(s.reports))
 }
 
 // sendReport puts a report on the reverse link.
@@ -833,14 +866,14 @@ func (s *Session) onFeedback(np netem.Packet, at time.Duration) {
 	// NACK buffer included, to the free list. In the loopback topology
 	// that is the recorder that produced it; behind a middlebox it is the
 	// middlebox's (RecycleFeedbackTo). Reports lost on the reverse link
-	// are simply collected.
+	// come back at the next init (reclaimReports).
 	rec := s.recorder
 	if s.recycleTo != nil {
 		rec = s.recycleTo
 	}
 	rec.Recycle(*rep)
 	*rep = fb.Report{Nacks: rep.Nacks[:0]}
-	s.reports = append(s.reports, rep)
+	s.releaseReport(rep)
 }
 
 // feedbackTick flushes the receiver report onto the reverse link. The NACK

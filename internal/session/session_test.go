@@ -9,7 +9,6 @@ import (
 	"rtcadapt/internal/metrics"
 	"rtcadapt/internal/netem"
 	"rtcadapt/internal/scenario"
-	"rtcadapt/internal/simtime"
 	"rtcadapt/internal/trace"
 	"rtcadapt/internal/video"
 )
@@ -453,38 +452,6 @@ func TestNoAudioByDefault(t *testing.T) {
 	res := Run(steadyConfig(core.NewNativeRC()))
 	if res.Audio != nil {
 		t.Error("audio report present without Config.Audio")
-	}
-}
-
-func TestCrossTrafficContention(t *testing.T) {
-	// One adaptive flow shares a 3 Mbps link with unresponsive on/off
-	// cross traffic; the flow must absorb the bursts without disaster.
-	sched := simtime.NewScheduler()
-	link := netem.NewLink(sched, netem.Config{Trace: trace.Constant(3e6), Seed: 11})
-	s := New(sched, Config{
-		Duration:    30 * time.Second,
-		Seed:        1,
-		Content:     video.TalkingHead,
-		ForwardLink: link,
-		InitialRate: 1e6,
-		Controller:  core.NewAdaptive(core.AdaptiveConfig{}),
-	})
-	link.SetReceiver(NewSSRCDemux(s))
-	ct := netem.NewCrossTraffic(sched, link, netem.CrossTrafficConfig{
-		Rate: 1.5e6, Seed: 12,
-	})
-	sched.RunUntil(32 * time.Second)
-	ct.Stop()
-	res := s.Result()
-	if ct.Sent() == 0 {
-		t.Fatal("cross traffic idle")
-	}
-	frac := float64(res.Report.DeliveredFrames) / float64(res.Report.Frames)
-	if frac < 0.85 {
-		t.Errorf("delivery %.3f under cross traffic", frac)
-	}
-	if res.Report.P95NetDelay > 800*time.Millisecond {
-		t.Errorf("P95 %v under cross traffic", res.Report.P95NetDelay)
 	}
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -53,7 +54,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 	drawAll(t, "zero value", &zero, rand.New(rand.NewSource(0)), 50)
 }
 
-// TestRandReseedZeroAlloc checks that a generator costs its ~4.9 KB source only
+// TestRandReseedZeroAlloc checks that a generator costs its source only
 // once it draws, and that reseeding a used generator allocates nothing.
 func TestRandReseedZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -69,5 +70,73 @@ func TestRandReseedZeroAlloc(t *testing.T) {
 	r.Float64()
 	if got := testing.AllocsPerRun(100, func() { r.Seed(9); r.Float64() }); got != 0 {
 		t.Fatalf("reseeding a used generator allocates %.1f per reseed", got)
+	}
+}
+
+// shortStreamBudget bounds the bytes NewRand plus 273 draws allocates: the
+// Rand, its math/rand wrapper and the register-free source, 120 B in
+// three objects. Building the 4.9 KB register for the stream put it at
+// about 5.4 KB.
+const shortStreamBudget = 128
+
+// allocPerRun returns the heap bytes and objects one call of f allocates,
+// averaged over runs calls.
+func allocPerRun(runs int, f func()) (bytes, objects float64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs),
+		float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// sink keeps the generators the allocation gates build on the heap, as a
+// component that owns one keeps it.
+var sink *Rand
+
+// TestRandShortStreamAllocBudget gates the register-free start of a
+// stream: a fresh generator's first 273 draws allocate no register, the
+// 274th allocates it once, and a generator that owns one, reseeded,
+// allocates nothing however far it draws.
+func TestRandShortStreamAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	draw := func(r *Rand, n int) {
+		for i := 0; i < n; i++ {
+			r.Float64() // one source draw
+		}
+	}
+	seed := int64(0)
+	short, _ := allocPerRun(200, func() {
+		seed++
+		sink = NewRand(seed)
+		draw(sink, rngTap)
+	})
+	t.Logf("NewRand + %d draws: %.0f B", rngTap, short)
+	if short > shortStreamBudget {
+		t.Fatalf("NewRand + %d draws allocates %.0f B, budget %d: the stream builds a register before it needs one", rngTap, short, shortStreamBudget)
+	}
+
+	const register = rngLen * 8
+	gens := make([]*Rand, 50)
+	for i := range gens {
+		seed++
+		gens[i] = NewRand(seed)
+		draw(gens[i], rngTap)
+	}
+	next := 0
+	bytes, objects := allocPerRun(len(gens), func() { draw(gens[next], 1); next++ })
+	t.Logf("draw %d: %.0f B in %.2f objects", rngTap+1, bytes, objects)
+	if objects < 1 || objects > 1.1 || bytes < register || bytes > register+64 {
+		t.Fatalf("draw %d allocates %.0f B in %.2f objects, want the %d B register once", rngTap+1, bytes, objects, register)
+	}
+
+	r := NewRand(1)
+	draw(r, rngTap+1)
+	if got := testing.AllocsPerRun(20, func() { seed++; r.Seed(seed); draw(r, 1000) }); got != 0 {
+		t.Fatalf("a reseeded generator that owns a register allocates %.1f times across 1,000 draws", got)
 	}
 }

@@ -32,18 +32,29 @@ func sourceOp(op byte, got, want *rand.Rand) bool {
 
 // newLazy returns the lazily seeded source wrapped as stats.Rand wraps it.
 func newLazy(seed int64) *rand.Rand {
+	_, r := newLazySource(seed)
+	return r
+}
+
+// newLazySource returns the lazily seeded source and its wrapper, so a test
+// can see whether the source holds a register.
+func newLazySource(seed int64) (*source, *rand.Rand) {
 	src := new(source)
 	src.Seed(seed)
-	return rand.New(src)
+	return src, rand.New(src)
 }
 
 // TestSourceMatchesMathRand pins the lazily seeded source to math/rand's
-// own, draw for draw: the seeds Go normalises specially (zero, negative,
-// multiples of 2**31-1, the int64 extremes) and 300 random ones, each for
-// 3,000 mixed draws that cross source draws 273, 334 (the last that
-// computes a word: tap and feed have touched every one) and 607 (feed has
-// rewritten every one), with two reseeds mid-stream, one before the
-// register is whole and one after.
+// own, draw for draw, on both of its paths: a source without a register,
+// which builds one at draw 274, and one that owns a register from an
+// earlier stream and writes its early draws through to it. The seeds are
+// those Go normalises specially (zero, negative, multiples of 2**31-1,
+// the int64 extremes) and 300 random ones. Each stream is reseeded once
+// after 100 mixed draws, inside its register-free first 273, then takes
+// 1,500 more; every kind of draw takes at least one source draw, so each
+// stream crosses source draws 273, 274 (the register is built or
+// completed), 334 (feed has touched every word) and 607 (feed has
+// rewritten every one).
 func TestSourceMatchesMathRand(t *testing.T) {
 	seeds := []int64{0, 1, -1, 89482311, -89482311, int32max, -int32max, 2 * int32max,
 		7 * int32max, int32max - 1, int32max + 1, math.MinInt64, math.MaxInt64}
@@ -51,18 +62,38 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		seeds = append(seeds, int64(pick.Uint64()))
 	}
-	const draws = 3000
+	const (
+		reseedAt = 100
+		draws    = reseedAt + 1500
+	)
+	owner, ownerRand := newLazySource(-7)
+	for ownerRand.Int63(); owner.vec == nil; ownerRand.Int63() {
+	}
 	for _, seed := range seeds {
-		got, want := newLazy(seed), rand.New(rand.NewSource(seed))
-		for i := 0; i < draws; i++ {
-			switch i {
-			case 200, 1800:
-				reseed := seed ^ int64(i)*0x5DEECE66D
-				got.Seed(reseed)
-				want.Seed(reseed)
+		fresh, freshRand := newLazySource(seed)
+		owner.Seed(seed)
+		for _, c := range []struct {
+			label string
+			src   *source
+			got   *rand.Rand
+		}{{"without a register", fresh, freshRand}, {"owning a register", owner, ownerRand}} {
+			hadRegister := c.src.vec != nil
+			want := rand.New(rand.NewSource(seed))
+			for i := 0; i < draws; i++ {
+				if i == reseedAt {
+					if c.src.early <= 0 || (c.src.vec != nil) != hadRegister {
+						t.Fatalf("seed %d, %s: reseed at draw %d is not in the register-free phase", seed, c.label, i)
+					}
+					reseed := seed ^ int64(i)*0x5DEECE66D
+					c.got.Seed(reseed)
+					want.Seed(reseed)
+				}
+				if !sourceOp(byte(i*31+i/7), c.got, want) {
+					t.Fatalf("seed %d, %s: draw %d (op %d) differs from math/rand", seed, c.label, i, byte(i*31+i/7)%7)
+				}
 			}
-			if !sourceOp(byte(i*31+i/7), got, want) {
-				t.Fatalf("seed %d: draw %d (op %d) differs from math/rand", seed, i, byte(i*31+i/7)%7)
+			if c.src.early >= 0 {
+				t.Fatalf("seed %d, %s: the stream never built its register", seed, c.label)
 			}
 		}
 	}
