@@ -2,7 +2,7 @@ GO       ?= go
 PKGS     := ./...
 FUZZTIME ?= 10s
 
-.PHONY: build test race lint lint-fix lint-purity lint-units lint-budget fuzz-smoke bench bench-parallel bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke results-smoke frames-smoke timeline-smoke profile check
+.PHONY: build test race lint lint-fix lint-purity lint-units lint-budget fuzz-smoke bench bench-parallel bench-smoke rtcbench-test fleet-smoke trace-smoke scenario-smoke results-smoke frames-smoke timeline-smoke plot-smoke profile check
 
 build:
 	$(GO) build $(PKGS)
@@ -53,7 +53,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPacketUnmarshal -fuzztime=$(FUZZTIME) ./internal/rtp
 	$(GO) test -run='^$$' -fuzz=FuzzReassembler -fuzztime=$(FUZZTIME) ./internal/rtp
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=$(FUZZTIME) ./internal/video
 	$(GO) test -run='^$$' -fuzz=FuzzReadTrace -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzParseScenario -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulerEquivalence -fuzztime=$(FUZZTIME) ./internal/simtime
@@ -112,6 +111,17 @@ frames-smoke:
 #   go run ./cmd/rtcsim -out timeline > docs/timeline_snapshot.csv
 timeline-smoke:
 	$(GO) run ./cmd/rtcsim -out timeline | diff - docs/timeline_snapshot.csv
+
+# Chart gate. rtcplot's ASCII charts are output no other gate reads; this
+# renders the latency comparison, the rate chart and the CDF comparison
+# of the default session and diffs them against the committed snapshot.
+# An intended change regenerates it with:
+#   { go run ./cmd/rtcplot -chart latency -compare && go run ./cmd/rtcplot -chart rates && \
+#     go run ./cmd/rtcplot -chart cdf -compare; } > docs/plot_snapshot.txt
+plot-smoke:
+	{ $(GO) run ./cmd/rtcplot -chart latency -compare && \
+		$(GO) run ./cmd/rtcplot -chart rates && \
+		$(GO) run ./cmd/rtcplot -chart cdf -compare; } | diff - docs/plot_snapshot.txt
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(PKGS)

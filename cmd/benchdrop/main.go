@@ -14,7 +14,8 @@
 // the adaptive-vs-baseline win margin over the generated drop grid, and
 // "scenarios" runs the declarative scenario corpus under both
 // controllers. -scenario takes preset names or YAML/JSON scenario files,
-// comma-separated.
+// comma-separated. -format csv prints the same run's data points as CSV
+// rows instead of the rendered tables (experiments.go holds both forms).
 //
 // Every experiment cell — one (scenario, controller, seed) session — is a
 // pure function of its config, so cells run concurrently on -parallel
@@ -23,11 +24,13 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"rtcadapt/internal/cli"
@@ -108,7 +111,6 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		return 0
 	}
 
-	var seedList []int64 // filled once -seeds is validated
 	r := &experiments.Runner{Workers: *parallel}
 	if *progress {
 		r.Progress = func(done, total int, label string) {
@@ -116,43 +118,10 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		}
 	}
 	grid, gridOK := frontierGrids[*gridKind]
-	runners := map[string]func() (string, error){
-		"table1":   func() (string, error) { return experiments.RenderTable1(r.Table1(seedList)), nil },
-		"table2":   func() (string, error) { return experiments.RenderTable2(r.Table2(seedList)), nil },
-		"table3":   func() (string, error) { return experiments.RenderTable3(r.Table3(seedList)), nil },
-		"figure1":  func() (string, error) { return experiments.RenderFigure1(r.Figure1(*seed)), nil },
-		"figure2":  func() (string, error) { return experiments.RenderFigure2(r.Figure2(seedList)), nil },
-		"figure3":  func() (string, error) { return experiments.RenderFigure3(r.Figure3(seedList)), nil },
-		"figure4":  func() (string, error) { return experiments.RenderFigure4(r.Figure4(seedList)), nil },
-		"figure5":  func() (string, error) { return experiments.RenderFigure5(r.Figure5(seedList)), nil },
-		"figure6":  func() (string, error) { return experiments.RenderFigure6(r.Figure6(seedList)), nil },
-		"figure7":  func() (string, error) { return experiments.RenderFigure7(r.Figure7(seedList)), nil },
-		"figure8":  func() (string, error) { return experiments.RenderFigure8(r.Figure8(seedList)), nil },
-		"figure9":  func() (string, error) { return experiments.RenderFigure9(r.Figure9(seedList)), nil },
-		"figure10": func() (string, error) { return experiments.RenderFigure10(r.Figure10(seedList)), nil },
-		"frontier": func() (string, error) {
-			res, err := r.Frontier(grid, seedList)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderFrontier(res), nil
-		},
-		"scenarios": func() (string, error) {
-			scs, err := resolveScenarios(*scenarios)
-			if err != nil {
-				return "", err
-			}
-			rows, err := r.ScenarioTable(scs,
-				[]experiments.ControllerKind{experiments.KindNative, experiments.KindAdaptive},
-				seedList, *duration)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderScenarioTable(rows), nil
-		},
-	}
+	p := &params{seed: *seed, grid: grid, scenarios: *scenarios, duration: *duration} // seeds filled once -seeds is validated
+	table := experimentTable(r, p)
 
-	switch _, known := runners[*exp]; {
+	switch _, known := table[*exp]; {
 	case !known && *exp != "all":
 		stderr.Printf("benchdrop: unknown experiment %q\n", *exp)
 		return 2
@@ -169,9 +138,9 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		stderr.Printf("benchdrop: unknown -grid %q (want default | small)\n", *gridKind)
 		return 2
 	}
-	seedList = make([]int64, *seeds)
-	for i := range seedList {
-		seedList[i] = int64(i + 1)
+	p.seeds = make([]int64, *seeds)
+	for i := range p.seeds {
+		p.seeds[i] = int64(i + 1)
 	}
 
 	if *cpuprof != "" {
@@ -193,22 +162,24 @@ func runCmd(args []string, stdout, stderr *cli.Printer, stderrW io.Writer) int {
 		ids = paperOrder[:]
 	}
 	for _, id := range ids {
-		render := runners[id]
-		if *format == "csv" {
-			render = func() (string, error) { return r.CSV(id, seedList) }
-		}
-		out, err := render()
+		res, err := table[id]()
 		if err != nil {
 			stderr.Printf("benchdrop: %v\n", err)
 			return 1
 		}
-		switch {
-		case *format == "text":
-			out += "\n"
-		case *exp == "all":
-			out = "# " + id + "\n" + out
+		if *format == "text" {
+			stdout.Printf("%s\n", res.text)
+			continue
 		}
-		stdout.Printf("%s", out)
+		if *exp == "all" {
+			stdout.Printf("# %s\n", id)
+		}
+		var b strings.Builder
+		if err := csv.NewWriter(&b).WriteAll(res.rows); err != nil {
+			stderr.Printf("benchdrop: %v\n", err)
+			return 1
+		}
+		stdout.Printf("%s", b.String())
 	}
 	if *memprof != "" {
 		if err := cli.WriteHeapProfile(*memprof); err != nil {

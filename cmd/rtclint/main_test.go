@@ -69,15 +69,15 @@ func TestListByteDeterministic(t *testing.T) {
 		t.Errorf("-list output differs between runs:\n%s\nvs\n%s", out1, out2)
 	}
 	lines := strings.Split(strings.TrimRight(out1, "\n"), "\n")
-	if len(lines) != 7 {
-		t.Errorf("-list printed %d analyzers, want 7:\n%s", len(lines), out1)
+	if len(lines) != 6 {
+		t.Errorf("-list printed %d analyzers, want 6:\n%s", len(lines), out1)
 	}
 	if !sort.StringsAreSorted(lines) {
 		t.Errorf("-list output is not sorted by name:\n%s", out1)
 	}
 	for _, name := range []string{
-		"floateq", "ctorvalidate", "maporder", "errdrop", "importlayer",
-		"transitivepurity", "unitflow",
+		"floateq", "maporder", "errdrop", "importlayer", "transitivepurity",
+		"unitflow",
 	} {
 		if !strings.Contains(out1, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out1)

@@ -454,29 +454,3 @@ func TestFigure10RecoveryReclaim(t *testing.T) {
 		t.Error("render broken")
 	}
 }
-
-func TestCSVExportAllExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment")
-	}
-	for _, id := range ExperimentIDs() {
-		out, err := CSV(id, []int64{1})
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-		if len(lines) < 2 {
-			t.Errorf("%s: only %d lines", id, len(lines))
-			continue
-		}
-		cols := strings.Count(lines[0], ",") + 1
-		for i, line := range lines {
-			if got := strings.Count(line, ",") + 1; got != cols {
-				t.Errorf("%s line %d: %d columns, header has %d", id, i, got, cols)
-			}
-		}
-	}
-	if _, err := CSV("bogus", nil); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-}

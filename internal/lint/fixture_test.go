@@ -144,11 +144,6 @@ func TestFloatEqFixture(t *testing.T) {
 	runOn(t, loader, byPath, []*Analyzer{FloatEq}, "floateqfix")
 }
 
-func TestCtorValidateFixture(t *testing.T) {
-	loader, byPath := loadFixtures(t)
-	runOn(t, loader, byPath, []*Analyzer{CtorValidate}, "ctorfix/cfgpkg", "ctorfix/use")
-}
-
 func TestMapOrderFixture(t *testing.T) {
 	loader, byPath := loadFixtures(t)
 	runOn(t, loader, byPath, []*Analyzer{MapOrder}, "internal/maporderfix")
@@ -268,7 +263,6 @@ func TestFixtureWantsPresent(t *testing.T) {
 		"fixture/cmd/errdropcmd",
 		"fixture/floateqfix",
 		"fixture/unitfix",
-		"fixture/ctorfix/use",
 		"fixture/unitflowfix",
 	} {
 		if perPkg[path] == 0 {

@@ -1,19 +1,19 @@
 // Package lint is a repo-specific static-analysis suite. It machine-checks
 // invariants that keep this reproduction trustworthy, one analyzer per
 // invariant, where no dynamic gate stands in: hot-path allocation, shard
-// ownership, package-level state and sequence-number arithmetic are left
-// to the allocation gates, the -race jobs, the snapshots and the RTP wrap
-// tests, which fail on every planted instance (EXPERIMENTS.md, "Static
-// checks only where a dynamic gate is blind"). A session is a pure function of
+// ownership, package-level state, sequence-number arithmetic and config
+// validation are left to the allocation gates, the -race jobs, the
+// snapshots, the RTP wrap tests and the constructors' own Validate calls,
+// which fail on every planted instance (EXPERIMENTS.md, "Static checks
+// only where a dynamic gate is blind"). A session is a pure function of
 // (config, seed), so no wall clock, global math/rand draw, or ad-hoc
 // goroutine sits in an internal/ package or is reachable from the
 // simulation entry points (transitivepurity); rate, size, and time
 // quantities never mix units, the classic kbps-vs-bps rate-control bug
 // (unitflow); no order-sensitive body ranges over a map (maporder);
-// floating-point quantities are never compared with == (floateq);
-// validated config structs are not constructed in ways that bypass
-// validation (ctorvalidate); errors are not silently dropped (errdrop);
-// and imports follow the layer table (importlayer).
+// floating-point quantities are never compared with == (floateq); errors
+// are not silently dropped (errdrop); and imports follow the layer table
+// (importlayer).
 //
 // The driver is built on go/parser and go/types only — no dependencies
 // outside the standard library, matching the module's zero-dependency
@@ -142,7 +142,6 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FloatEq,
-		CtorValidate,
 		MapOrder,
 		ErrDrop,
 		ImportLayer,

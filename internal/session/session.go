@@ -52,9 +52,9 @@ type Config struct {
 	// Content selects the video class. FPS defaults to 30.
 	Content video.Class
 	FPS     int
-	// VideoSource overrides the synthetic source entirely (e.g. a
-	// video.TraceSource replaying recorded complexity); Content/FPS are
-	// ignored when set.
+	// VideoSource overrides the synthetic source entirely (any
+	// video.FrameSource, e.g. one replaying recorded complexity);
+	// Content/FPS are ignored when set.
 	VideoSource video.FrameSource
 	// Audio adds an Opus-like 32 kbps voice stream sharing the
 	// bottleneck; its quality is reported in Result.Audio.

@@ -455,13 +455,28 @@ func TestNoAudioByDefault(t *testing.T) {
 	}
 }
 
+// replaySource is a caller-supplied video.FrameSource: it replays
+// recorded frames at 30 fps, cycling when the session outlasts them.
+type replaySource struct {
+	frames []video.Frame
+	index  int
+}
+
+func (s *replaySource) FPS() int                     { return 30 }
+func (s *replaySource) FrameInterval() time.Duration { return time.Second / 30 }
+
+func (s *replaySource) Next() video.Frame {
+	f := s.frames[s.index%len(s.frames)]
+	f.Index = s.index
+	f.PTS = time.Duration(s.index) * s.FrameInterval()
+	s.index++
+	return f
+}
+
 func TestVideoTraceSourceSession(t *testing.T) {
 	// Replay a recorded complexity trace through the full pipeline.
 	recorded := video.NewSource(video.SourceConfig{Class: video.Gaming, Seed: 4}).Take(150)
-	src, err := video.NewTraceSource(recorded, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := &replaySource{frames: recorded}
 	res := Run(Config{
 		Duration:    10 * time.Second,
 		Seed:        1,

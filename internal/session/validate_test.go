@@ -45,7 +45,8 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestRunPanicsOnBadEncoder pins that session validation reaches nested
-// encoder configs, the gap ctorvalidate flagged.
+// encoder configs: a config literal that skips Validate still fails at
+// construction.
 func TestRunPanicsOnBadEncoder(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -32,8 +32,8 @@ type Frame struct {
 	SceneCut bool
 }
 
-// FrameSource is anything that emits capture frames at a fixed rate; both
-// the synthetic Source and the CSV-backed TraceSource implement it.
+// FrameSource is anything that emits capture frames at a fixed rate; the
+// synthetic Source implements it, and a session accepts any other.
 type FrameSource interface {
 	// Next produces the next frame with increasing Index and PTS.
 	Next() Frame
